@@ -8,6 +8,7 @@ from .activations import (
     all_ids,
     apply,
     apply_grad,
+    apply_with_grad,
     derivative,
     descriptor,
     evaluate,

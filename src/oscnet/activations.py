@@ -1,8 +1,9 @@
 """Activation function catalog: formulas, analytic derivatives, and static metadata.
 
-Every unit is a scalar nonlinearity g(z).  Each entry ships a vectorized value
-kernel, a vectorized derivative kernel (kinks mapped to subgradient 0), and an
-``ActivationDescriptor`` recording continuity, kink points, monotonicity, range,
+Every unit is a scalar nonlinearity g(z).  Each entry ships one vectorized
+kernel that yields g and then g' (kinks mapped to subgradient 0), so that
+``apply``, ``apply_grad`` and the fused ``apply_with_grad`` run the same code,
+and an ``ActivationDescriptor`` recording continuity, kink points, monotonicity, range,
 small-input affine behaviour, zero/hyperplane count, sign-equivalence to the
 identity, and whether a single neuron with this unit can learn XOR.
 
@@ -115,250 +116,269 @@ def sinc(z: float) -> float:
     return math.sin(z) / z
 
 
-def _sinc_arr(z):
-    out = np.ones_like(z)
-    nz = z != 0.0
-    out[nz] = np.sin(z[nz]) / z[nz]
-    return out
+# |u| below this uses Taylor series for sinc and its slope: there the quotients
+# below cancel (the slope) or divide by zero (sinc at u = 0).  Five terms keep
+# the series at float64 precision across the band, and at its edge the
+# quotients lose at most ~6*eps/u^2 relative, about 4e-5 in float32.
+_SINC_BAND = 0.1
+_SINC_SERIES = (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0, 1.0 / 362880.0)
+_DSINC_SERIES = (-1.0 / 3.0, 1.0 / 30.0, -1.0 / 840.0, 1.0 / 45360.0, -1.0 / 3991680.0)
 
 
-def _dsinc_arr(z):
-    # (z cos z - sin z)/z^2 cancels catastrophically near 0 (badly enough to
-    # matter in float32); the series -z/3 + z^3/30 is good to ~|z|^5/840 there.
-    small = np.abs(z) < 1e-2
-    safe = np.where(small, 1.0, z)
-    direct = (safe * np.cos(safe) - np.sin(safe)) / (safe * safe)
-    series = -z / 3.0 + (z ** 3) / 30.0
-    return np.where(small, series, direct)
+def _series(x, coefs):
+    acc = coefs[-1]
+    for c in reversed(coefs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _sinc_arr(u):
+    """sin(u)/u with sinc(0) = 1, for an array ``u`` (rank >= 1) the caller owns.
+
+    Returns ``(sinc, near, un)``: ``near`` indexes the entries with
+    |u| < _SINC_BAND, whose values ``un`` are replaced by 1 in ``u`` so that
+    no quotient divides by zero; the series fills those entries instead.
+    """
+    s = np.abs(u)
+    near = np.nonzero(s < _SINC_BAND)
+    un = u[near]
+    u[near] = 1.0
+    np.sin(u, out=s)
+    s /= u
+    s[near] = _series(un * un, _SINC_SERIES)
+    return s, near, un
+
+
+def _dsinc_arr(u, sinc, near, un):
+    """d/du sinc(u) = (cos u - sinc u)/u, from the outputs of _sinc_arr."""
+    d = np.cos(u)
+    d -= sinc
+    d /= u
+    d[near] = un * _series(un * un, _DSINC_SERIES)
+    return d
+
+
+def _sigmoid_from(t, z):
+    # Stable logistic from t = exp(-|z|): 1/(1+t) for z >= 0, t/(1+t) below.
+    # Since t <= 1, max(t, z >= 0) picks that numerator without a branch.
+    s = np.maximum(t, z >= 0.0)
+    s /= t + 1.0
+    return s
 
 
 def _sigmoid(z):
-    # Branch-free stable logistic: never exponentiates a positive argument.
-    t = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return _sigmoid_from(np.exp(-np.abs(z)), z)
 
 
-def _softplus(z):
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _gelu_inner(z):
-    return _SQRT_2_OVER_PI * (z + _GELU_CUBIC * z ** 3)
+def _softplus_from(t, z):
+    sp = np.log1p(t)
+    sp += np.maximum(z, 0.0)
+    return sp
 
 
 # ---------------------------------------------------------------------------
-# value / derivative kernels (vectorized; kink points yield subgradient 0)
+# kernels: one generator per unit yields g(z), then g'(z) (subgradient 0 at
+# kinks), sharing the work between them.  `apply` stops after g, so nothing
+# only g' needs is computed before the first yield.  Kernels receive a float
+# array, possibly 0-d, keep its dtype and never write to it.  Updates in place
+# are augmented assignments, which also work on the numpy scalars that
+# ufuncs return for 0-d input; `_sinc_arr` alone indexes, so its callers
+# pass it rank >= 1 and give their outputs the input's shape.
 # ---------------------------------------------------------------------------
 
 def _signum(z, p):
-    return np.sign(z)
-
-def _d_signum(z, p):
-    return np.zeros_like(z)
+    yield np.sign(z)
+    yield np.zeros_like(z)
 
 def _identity(z, p):
-    return z + 0.0
-
-def _d_identity(z, p):
-    return np.ones_like(z)
+    yield z + 0.0
+    yield np.ones_like(z)
 
 def _bipolar_sigmoid(z, p):
     # (1 - e^-z)/(1 + e^-z) == tanh(z/2)
-    return np.tanh(z / 2.0)
-
-def _d_bipolar_sigmoid(z, p):
     t = np.tanh(z / 2.0)
-    return 0.5 * (1.0 - t * t)
+    yield t
+    yield 0.5 * (1.0 - t * t)
 
 def _sigmoid_act(z, p):
-    return _sigmoid(z)
-
-def _d_sigmoid_act(z, p):
     s = _sigmoid(z)
-    return s * (1.0 - s)
+    yield s
+    yield s * (1.0 - s)
 
 def _tanh(z, p):
-    return np.tanh(z)
-
-def _d_tanh(z, p):
     t = np.tanh(z)
-    return 1.0 - t * t
+    yield t
+    yield 1.0 - t * t
 
 def _absolute(z, p):
-    return np.abs(z)
-
-def _d_absolute(z, p):
-    return np.sign(z)
+    yield np.abs(z)
+    yield np.sign(z)
 
 def _soft_root_sign(z, p):
     a, b = p["alpha"], p["beta"]
-    return z / (z / a + np.exp(-z / b))
-
-def _d_soft_root_sign(z, p):
-    a, b = p["alpha"], p["beta"]
     e = np.exp(-z / b)
     den = z / a + e
+    yield z / den
     dden = 1.0 / a - e / b
-    return (den - z * dden) / (den * den)
+    yield (den - z * dden) / (den * den)
 
 def _hard_tanh(z, p):
-    return np.clip(z, -1.0, 1.0)
-
-def _d_hard_tanh(z, p):
-    return np.where((z > -1.0) & (z < 1.0), 1.0, 0.0)
+    yield np.clip(z, -1.0, 1.0)
+    yield (np.abs(z) < 1.0).astype(z.dtype)
 
 def _silu(z, p):
-    return z * _sigmoid(z)
-
-def _d_silu(z, p):
     s = _sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
+    yield z * s
+    yield s * (1.0 + z * (1.0 - s))
 
 def _lisht(z, p):
-    return z * np.tanh(z)
-
-def _d_lisht(z, p):
     t = np.tanh(z)
-    return t + z * (1.0 - t * t)
+    yield z * t
+    yield t + z * (1.0 - t * t)
 
 def _softplus_act(z, p):
-    return _softplus(z)
-
-def _d_softplus_act(z, p):
-    return _sigmoid(z)
+    t = np.exp(-np.abs(z))
+    yield _softplus_from(t, z)
+    yield _sigmoid_from(t, z)
 
 def _relu(z, p):
-    return np.maximum(z, 0.0)
+    g = np.maximum(z, 0.0)
+    yield g
+    yield np.sign(g)  # 1 above 0; 0 at the kink and below
 
-def _d_relu(z, p):
-    return np.where(z > 0.0, 1.0, 0.0)
+def _two_slope(z, slope):
+    # z for z >= 0, slope*z below, without a data-dependent branch
+    g = np.minimum(z, 0.0)
+    g *= slope
+    g += np.maximum(z, 0.0)
+    yield g
+    dg = (z < 0.0).astype(z.dtype)
+    dg *= slope
+    dg += z > 0.0
+    yield dg
 
 def _leaky_relu(z, p):
-    s = p["negative_slope"]
-    return np.where(z >= 0.0, z, s * z)
-
-def _d_leaky_relu(z, p):
-    s = p["negative_slope"]
-    return np.where(z > 0.0, 1.0, np.where(z < 0.0, s, 0.0))
+    return _two_slope(z, p["negative_slope"])
 
 def _gelu(z, p):
     # 0.5*z*(1 + tanh(u)) evaluated as z*sigmoid(2u): identical analytically,
     # keeps the exponential tail sign-correct instead of flushing to -0.0.
-    return z * _sigmoid(2.0 * _gelu_inner(z))
-
-def _d_gelu(z, p):
-    u2 = 2.0 * _gelu_inner(z)
-    s = _sigmoid(u2)
+    s = _sigmoid((2.0 * _SQRT_2_OVER_PI) * (z + _GELU_CUBIC * (z * z * z)))
+    yield z * s
     du2 = 2.0 * _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * z * z)
-    return s + z * s * (1.0 - s) * du2
+    yield s + z * s * (1.0 - s) * du2
 
 def _selu(z, p):
     lam, a = p["scale"], p["alpha"]
-    return np.where(z >= 0.0, lam * z, lam * a * np.expm1(np.minimum(z, 0.0)))
-
-def _d_selu(z, p):
-    lam, a = p["scale"], p["alpha"]
-    return np.where(z > 0.0, lam, np.where(z < 0.0, lam * a * np.exp(np.minimum(z, 0.0)), 0.0))
+    lo = np.minimum(z, 0.0)
+    g = np.expm1(lo)
+    g *= lam * a
+    g += lam * np.maximum(z, 0.0)
+    yield g
+    dg = np.exp(lo)
+    dg *= lam * a
+    dg *= z < 0.0
+    dg += (z > 0.0).astype(z.dtype) * lam
+    yield dg
 
 def _mish(z, p):
-    return z * np.tanh(_softplus(z))
-
-def _d_mish(z, p):
-    t = np.tanh(_softplus(z))
-    return t + z * (1.0 - t * t) * _sigmoid(z)
+    t = np.exp(-np.abs(z))
+    th = np.tanh(_softplus_from(t, z))
+    yield z * th
+    yield th + z * (1.0 - th * th) * _sigmoid_from(t, z)
 
 def _elu(z, p):
-    return np.where(z >= 0.0, z, np.expm1(np.minimum(z, 0.0)))
-
-def _d_elu(z, p):
+    g = np.expm1(np.minimum(z, 0.0))
+    g += np.maximum(z, 0.0)
+    yield g
     # one-sided slopes agree at 0 (both 1): ELU is C1, no kink.
-    return np.where(z >= 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
+    yield np.exp(np.minimum(z, 0.0))
 
 def _prelu(z, p):
-    a = p["alpha"]
-    return np.where(z >= 0.0, z, a * z)
-
-def _d_prelu(z, p):
-    a = p["alpha"]
-    return np.where(z > 0.0, 1.0, np.where(z < 0.0, a, 0.0))
+    return _two_slope(z, p["alpha"])
 
 def _sine(z, p):
-    return np.sin(z)
-
-def _d_sine(z, p):
-    return np.cos(z)
+    yield np.sin(z)
+    yield np.cos(z)
 
 def _squ(z, p):
-    return z * z + z
-
-def _d_squ(z, p):
-    return 2.0 * z + 1.0
+    yield z * z + z
+    yield 2.0 * z + 1.0
 
 def _monotonic_cubic(z, p):
-    return z ** 3 + z
-
-def _d_monotonic_cubic(z, p):
-    return 3.0 * z * z + 1.0
+    yield z * z * z + z
+    yield 3.0 * z * z + 1.0
 
 def _ncu(z, p):
-    return z - z ** 3
-
-def _d_ncu(z, p):
-    return 1.0 - 3.0 * z * z
+    yield z - z * z * z
+    yield 1.0 - 3.0 * z * z
 
 def _z_sq_cos(z, p):
-    return z * z * np.cos(z)
-
-def _d_z_sq_cos(z, p):
-    return 2.0 * z * np.cos(z) - z * z * np.sin(z)
+    c = np.cos(z)
+    yield z * z * c
+    yield 2.0 * z * c - z * z * np.sin(z)
 
 def _ssu(z, p):
-    return math.pi * _sinc_arr(z - math.pi)
-
-def _d_ssu(z, p):
-    return math.pi * _dsinc_arr(z - math.pi)
+    # pi*sinc(u), u = z - pi: u is exact near the peak at z = pi.
+    u = np.atleast_1d(z - math.pi)
+    sinc, near, un = _sinc_arr(u)
+    yield (math.pi * sinc).reshape(z.shape)
+    yield (math.pi * _dsinc_arr(u, sinc, near, un)).reshape(z.shape)
 
 def _gcu(z, p):
-    return z * np.cos(z)
-
-def _d_gcu(z, p):
-    return np.cos(z) - z * np.sin(z)
+    c = np.cos(z)
+    yield z * c
+    yield c - z * np.sin(z)
 
 def _dsu(z, p):
-    return (math.pi / 2.0) * (_sinc_arr(z - math.pi) - _sinc_arr(z + math.pi))
-
-def _d_dsu(z, p):
-    return (math.pi / 2.0) * (_dsinc_arr(z - math.pi) - _dsinc_arr(z + math.pi))
+    # (pi/2)(sinc(z - pi) - sinc(z + pi)) = pi^2 sin z/(pi^2 - z^2), odd in z.
+    # With a = |z| and u = a - pi it is sign(z)*pi^2*sinc(u)/(a + pi): one
+    # sin and one cos of u serve g and g', and u is exact near the removable
+    # points z = +-pi, where pi^2 - z^2 would cancel.
+    a = np.atleast_1d(np.abs(z))
+    u = a - math.pi
+    sinc, near, un = _sinc_arr(u)
+    w = a
+    w += math.pi
+    np.divide(math.pi ** 2, w, out=w)  # pi^2/(|z| + pi)
+    g = np.sign(z)
+    g *= w
+    g *= sinc
+    yield g.reshape(z.shape)
+    dg = _dsinc_arr(u, sinc, near, un)
+    dg -= sinc * w * (1.0 / math.pi ** 2)  # sinc/(|z| + pi)
+    dg *= w
+    yield dg.reshape(z.shape)
 
 
 _KERNELS = {
-    ActivationId.SIGNUM: (_signum, _d_signum),
-    ActivationId.IDENTITY: (_identity, _d_identity),
-    ActivationId.BIPOLAR_SIGMOID: (_bipolar_sigmoid, _d_bipolar_sigmoid),
-    ActivationId.SIGMOID: (_sigmoid_act, _d_sigmoid_act),
-    ActivationId.TANH: (_tanh, _d_tanh),
-    ActivationId.ABSOLUTE: (_absolute, _d_absolute),
-    ActivationId.SOFT_ROOT_SIGN: (_soft_root_sign, _d_soft_root_sign),
-    ActivationId.HARD_TANH: (_hard_tanh, _d_hard_tanh),
-    ActivationId.SILU: (_silu, _d_silu),
-    ActivationId.LISHT: (_lisht, _d_lisht),
-    ActivationId.SOFTPLUS: (_softplus_act, _d_softplus_act),
-    ActivationId.RELU: (_relu, _d_relu),
-    ActivationId.LEAKY_RELU: (_leaky_relu, _d_leaky_relu),
-    ActivationId.GELU: (_gelu, _d_gelu),
-    ActivationId.SELU: (_selu, _d_selu),
-    ActivationId.SWISH: (_silu, _d_silu),  # same formula as SiLU, distinct id
-    ActivationId.MISH: (_mish, _d_mish),
-    ActivationId.ELU: (_elu, _d_elu),
-    ActivationId.PRELU: (_prelu, _d_prelu),
-    ActivationId.SINE: (_sine, _d_sine),
-    ActivationId.SQU: (_squ, _d_squ),
-    ActivationId.MONOTONIC_CUBIC: (_monotonic_cubic, _d_monotonic_cubic),
-    ActivationId.NCU: (_ncu, _d_ncu),
-    ActivationId.Z_SQ_COS: (_z_sq_cos, _d_z_sq_cos),
-    ActivationId.SSU: (_ssu, _d_ssu),
-    ActivationId.GCU: (_gcu, _d_gcu),
-    ActivationId.DSU: (_dsu, _d_dsu),
+    ActivationId.SIGNUM: _signum,
+    ActivationId.IDENTITY: _identity,
+    ActivationId.BIPOLAR_SIGMOID: _bipolar_sigmoid,
+    ActivationId.SIGMOID: _sigmoid_act,
+    ActivationId.TANH: _tanh,
+    ActivationId.ABSOLUTE: _absolute,
+    ActivationId.SOFT_ROOT_SIGN: _soft_root_sign,
+    ActivationId.HARD_TANH: _hard_tanh,
+    ActivationId.SILU: _silu,
+    ActivationId.LISHT: _lisht,
+    ActivationId.SOFTPLUS: _softplus_act,
+    ActivationId.RELU: _relu,
+    ActivationId.LEAKY_RELU: _leaky_relu,
+    ActivationId.GELU: _gelu,
+    ActivationId.SELU: _selu,
+    ActivationId.SWISH: _silu,  # same formula as SiLU, distinct id
+    ActivationId.MISH: _mish,
+    ActivationId.ELU: _elu,
+    ActivationId.PRELU: _prelu,
+    ActivationId.SINE: _sine,
+    ActivationId.SQU: _squ,
+    ActivationId.MONOTONIC_CUBIC: _monotonic_cubic,
+    ActivationId.NCU: _ncu,
+    ActivationId.Z_SQ_COS: _z_sq_cos,
+    ActivationId.SSU: _ssu,
+    ActivationId.GCU: _gcu,
+    ActivationId.DSU: _dsu,
 }
 
 _SRS_ALPHA, _SRS_BETA = 2.0, 3.0
@@ -490,18 +510,34 @@ def _merged_params(id: ActivationId, params: dict | None) -> dict:
     return merged
 
 
+def _kernel(id: ActivationId, z, params: dict | None):
+    """The kernel generator of ``id`` over ``z``; non-float input runs in float64."""
+    if not isinstance(id, ActivationId):  # converting a member costs more than the kernel on a scalar
+        id = ActivationId(id)
+    z = np.asarray(z)
+    if z.dtype.kind != "f":
+        z = z.astype(np.float64)
+    return _KERNELS[id](z, _merged_params(id, params))
+
+
 def apply(id: ActivationId, z: np.ndarray, params: dict | None = None) -> np.ndarray:
     """Vectorized g(z); dtype of ``z`` is preserved."""
-    id = ActivationId(id)
-    fn = _KERNELS[id][0]
-    return fn(np.asarray(z), _merged_params(id, params))
+    return next(_kernel(id, z, params))
 
 
 def apply_grad(id: ActivationId, z: np.ndarray, params: dict | None = None) -> np.ndarray:
     """Vectorized g'(z) with subgradient 0 at kink points."""
-    id = ActivationId(id)
-    fn = _KERNELS[id][1]
-    return fn(np.asarray(z), _merged_params(id, params))
+    run = _kernel(id, z, params)
+    next(run)
+    return next(run)
+
+
+def apply_with_grad(id: ActivationId, z: np.ndarray,
+                    params: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(g(z), g'(z)) from one kernel pass; bitwise equal to (apply, apply_grad)."""
+    run = _kernel(id, z, params)
+    g = next(run)
+    return g, next(run)
 
 
 def evaluate(id: ActivationId, z: float, params: dict | None = None) -> float:

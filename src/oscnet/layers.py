@@ -3,14 +3,16 @@
 Convolutions are 3x3, stride 1, zero-padded to preserve spatial size, and are
 lowered to GEMM through an im2col view.  Every backward returns gradients in
 the same shapes as its forward inputs; cached activations are whatever the
-backward needs, nothing more.
+backward needs, nothing more.  An activation layer caches g'(x), computed in
+the same kernel pass as g(x), so its backward is a single product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .activations import ActivationId, apply, apply_grad
+from .activations import ActivationId, apply, apply_with_grad
+from .activations import apply_grad  # noqa: F401  perfbench/spans.py hooks layers.apply_grad by name
 from .errors import LabelError, ShapeError
 
 KERNEL = 3
@@ -103,12 +105,15 @@ def dense_backward(dy: np.ndarray, cache):
     return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
-def activation_forward(x: np.ndarray, id: ActivationId):
-    return apply(id, x), x
+def activation_forward(x: np.ndarray, id: ActivationId, with_cache: bool = True):
+    """g(x) and the cache g'(x); with_cache=False computes g only (cache None)."""
+    if not with_cache:
+        return apply(id, x), None
+    return apply_with_grad(id, x)
 
 
-def activation_backward(dy: np.ndarray, cache, id: ActivationId):
-    return dy * apply_grad(id, cache)
+def activation_backward(dy: np.ndarray, cache):
+    return dy * cache
 
 
 def dropout_forward(x: np.ndarray, rate: float, train: bool, rng: np.random.Generator | None = None):

@@ -124,8 +124,8 @@ class Model:
             if isinstance(spec, Conv2dSpec):
                 x, cache = layers.conv2d_forward(x, p[f"layer{i}_w"], p[f"layer{i}_b"])
                 caches.append(("conv", i, cache))
-                x, acache = layers.activation_forward(x, spec.activation)
-                caches.append(("act", spec.activation, acache))
+                x, acache = layers.activation_forward(x, spec.activation, with_caches)
+                caches.append(("act", None, acache))
             elif isinstance(spec, MaxPoolSpec):
                 x, cache = layers.maxpool2_forward(x)
                 caches.append(("pool", None, cache))
@@ -135,8 +135,8 @@ class Model:
             elif isinstance(spec, DenseSpec):
                 x, cache = layers.dense_forward(x, p[f"layer{i}_w"], p[f"layer{i}_b"])
                 caches.append(("dense", i, cache))
-                x, acache = layers.activation_forward(x, spec.activation)
-                caches.append(("act", spec.activation, acache))
+                x, acache = layers.activation_forward(x, spec.activation, with_caches)
+                caches.append(("act", None, acache))
             elif isinstance(spec, DropoutSpec):
                 x, mask = layers.dropout_forward(x, spec.rate, train, rng)
                 caches.append(("dropout", None, mask))
@@ -162,7 +162,7 @@ class Model:
                 grads[f"layer{key}_w"] = dw
                 grads[f"layer{key}_b"] = db
             elif kind == "act":
-                d = layers.activation_backward(d, cache, key)
+                d = layers.activation_backward(d, cache)
             elif kind == "pool":
                 d = layers.maxpool2_backward(d, cache)
             elif kind == "flatten":
@@ -256,12 +256,14 @@ def evaluate_top1(model: Model, images: np.ndarray, labels: np.ndarray,
     """Fraction of samples whose argmax logit equals the label.
 
     Ties break to the lowest class index (argmax returns the first maximum).
+    A sample with any non-finite logit counts as a miss.
     """
     n = images.shape[0]
     hits = 0
     for start in range(0, n, batch):
         logits = model.forward(images[start:start + batch], train=False)
-        hits += int((logits.argmax(axis=1) == labels[start:start + batch]).sum())
+        hit = (logits.argmax(axis=1) == labels[start:start + batch]) & np.isfinite(logits).all(axis=1)
+        hits += int(hit.sum())
     return hits / n
 
 

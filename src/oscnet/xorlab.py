@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ActivationId, apply, evaluate
+from .activations import ActivationId, apply, apply_with_grad, evaluate
 from .properties import sign_with_tol
 
 MARGIN_TOL = 1e-6
@@ -131,8 +131,6 @@ def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
     out.  A restart whose parameters or gradients go non-finite is abandoned.
     Returns (best certificate found, loss trace of that restart's epochs).
     """
-    from .activations import apply_grad
-
     id = ActivationId(id)
     X, Y = xor_dataset().as_arrays()
     best: XorCertificate | None = None
@@ -146,10 +144,10 @@ def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled below
             for _ in range(spec.epochs):
                 z = X @ theta[:2] + theta[2]
-                a = apply(id, z)
+                a, da = apply_with_grad(id, z)
                 err = a - Y
                 trace.append(float(err @ err))
-                gz = 2.0 * err * apply_grad(id, z)
+                gz = 2.0 * err * da
                 grad = np.array([gz @ X[:, 0], gz @ X[:, 1], gz.sum()])
                 if not np.isfinite(grad).all():
                     finite = False

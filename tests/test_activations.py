@@ -1,6 +1,7 @@
 """Catalog correctness: formulas, derivatives, metadata, numerical safety."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oscnet.activations import (
     all_ids,
     apply,
     apply_grad,
+    apply_with_grad,
     derivative,
     descriptor,
     evaluate,
@@ -176,14 +178,49 @@ class TestArrayScalarConsistency:
 
     def test_float32_dtype_preserved(self):
         z = np.linspace(-4, 4, 17, dtype=np.float32)
-        for id in (A.GELU, A.SQU, A.DSU, A.MISH):
-            assert apply(id, z).dtype == np.float32
-            assert apply_grad(id, z).dtype == np.float32
+        for id in all_ids():
+            g, dg = apply_with_grad(id, z)
+            dtypes = {apply(id, z).dtype, apply_grad(id, z).dtype, g.dtype, dg.dtype}
+            assert dtypes == {np.dtype(np.float32)}, id
+
+    @pytest.mark.parametrize("id", all_ids())
+    def test_fused_kernel_is_bitwise_equal_to_the_pair(self, id):
+        z = np.linspace(-7, 7, 301)
+        z[::7] = 0.0
+        z[1::7] = math.pi  # the removable points of SSU and DSU
+        z[2::7] = -math.pi
+        for arr in (z, z.astype(np.float32), z.reshape(7, 43), np.float64(0.3),
+                    np.array(-math.pi), np.float32(2.5)):
+            g, dg = apply_with_grad(id, arr)
+            want_g, want_dg = apply(id, arr), apply_grad(id, arr)
+            assert np.shape(g) == np.shape(dg) == np.shape(arr)
+            assert np.asarray(g).dtype == np.asarray(want_g).dtype
+            np.testing.assert_array_equal(g, want_g, strict=True)
+            np.testing.assert_array_equal(dg, want_dg, strict=True)
 
     def test_float32_derivative_stable_near_sinc_centre(self):
         """(x cos x - sin x)/x^2 cancels in float32 near x=0; the series branch
-        must keep the SSU derivative accurate around its peak at z = pi."""
-        z32 = (math.pi + np.linspace(-0.05, 0.05, 5001)).astype(np.float32)
-        got = apply_grad(A.SSU, z32).astype(np.float64)
-        want = apply_grad(A.SSU, z32.astype(np.float64))
-        assert np.abs(got - want).max() < 1e-4
+        must keep SSU and DSU, and their derivatives, accurate around the
+        removable points (SSU at z = pi, DSU at z = +-pi)."""
+        band = np.linspace(-0.05, 0.05, 5001)
+        for id, centre in ((A.SSU, math.pi), (A.DSU, math.pi), (A.DSU, -math.pi)):
+            z32 = (centre + band).astype(np.float32)
+            for fn in (apply, apply_grad):
+                got = fn(id, z32).astype(np.float64)
+                want = fn(id, z32.astype(np.float64))
+                assert np.abs(got - want).max() < 1e-4, (id, centre, fn.__name__)
+
+    @pytest.mark.parametrize("id", all_ids())
+    def test_kernel_memory_stays_bounded(self, id):
+        """Peak memory of apply on a 2^20-element float64 input, output included.
+
+        The XOR grid search applies every unit to ~1M points, so a kernel that
+        holds extra temporaries shows up in the process's peak memory."""
+        z = np.linspace(-15.0, 15.0, 2 ** 20)
+        tracemalloc.start()
+        try:
+            apply(id, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.2 * z.nbytes, f"{id}: peak {peak / z.nbytes:.2f}x the input"

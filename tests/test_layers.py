@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscnet import layers
-from oscnet.activations import ActivationId
+from oscnet.activations import ActivationId, apply, apply_grad
 from oscnet.errors import LabelError, ShapeError
 
 A = ActivationId
@@ -135,7 +135,7 @@ class TestActivationLayer:
         z = RNG.standard_normal((3, 4))
         _, cache = layers.activation_forward(z, A.SQU)
         dy = np.ones_like(z)
-        dz = layers.activation_backward(dy, cache, A.SQU)
+        dz = layers.activation_backward(dy, cache)
         np.testing.assert_allclose(dz, 2 * z + 1, atol=1e-12)
 
         h = 1e-6
@@ -145,8 +145,27 @@ class TestActivationLayer:
 
     def test_kinks_use_zero_subgradient(self):
         z = np.array([-1.0, 0.0, 1.0])
-        dz = layers.activation_backward(np.ones(3), z, A.RELU)
+        _, cache = layers.activation_forward(z, A.RELU)
+        dz = layers.activation_backward(np.ones(3), cache)
         np.testing.assert_array_equal(dz, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("id", [A.RELU, A.DSU, A.GELU])
+    def test_cache_is_the_derivative(self, id):
+        z = RNG.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        y, cache = layers.activation_forward(z, id)
+        np.testing.assert_array_equal(y, apply(id, z))
+        np.testing.assert_array_equal(cache, apply_grad(id, z))
+        assert cache.dtype == np.float32
+
+    def test_without_cache_computes_g_only(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("g' computed without a cache")
+        monkeypatch.setattr(layers, "apply_with_grad", forbidden)
+        monkeypatch.setattr(layers, "apply_grad", forbidden)
+        z = RNG.standard_normal((3, 4))
+        y, cache = layers.activation_forward(z, A.DSU, with_cache=False)
+        np.testing.assert_array_equal(y, apply(A.DSU, z))
+        assert cache is None
 
 
 class TestDropout:

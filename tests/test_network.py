@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oscnet import activations, layers
 from oscnet.activations import ActivationId
 from oscnet.errors import ConfigError, DivergenceError
 from oscnet.network import (
@@ -79,6 +80,26 @@ class TestBuildModel:
         m = build_model(NetworkConfig(1, A.MISH, seed=2))
         x = np.random.default_rng(0).random((2, 3, 32, 32), dtype=np.float32)
         np.testing.assert_array_equal(m.forward(x), m.forward(x))
+
+    def test_eval_forward_never_computes_the_derivative(self, monkeypatch):
+        m = build_model(NetworkConfig(2, A.DSU, seed=2))
+        x = np.random.default_rng(0).random((2, 3, 32, 32), dtype=np.float32)
+        want = m.forward(x)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eval forward computed g'")
+        for name in ("apply_with_grad", "apply_grad"):
+            monkeypatch.setattr(layers, name, forbidden)
+            monkeypatch.setattr(activations, name, forbidden)
+        np.testing.assert_array_equal(m.forward(x), want)
+
+    @pytest.mark.parametrize("act", [A.RELU, A.LEAKY_RELU, A.HARD_TANH, A.DSU])
+    def test_float32_model_trains_in_float32(self, act):
+        m = build_model(NetworkConfig(1, act, seed=3))
+        rng = np.random.default_rng(0)
+        x = rng.random((4, 3, 32, 32), dtype=np.float32)
+        _, grads = m.loss_and_grads(x, rng.integers(0, 10, 4), rng=rng)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
 class TestAdam:
@@ -255,6 +276,15 @@ class TestEvaluateTop1:
         img = np.random.default_rng(2).random((1, 3, 8, 8))
         pred = int(m.forward(img).argmax())
         assert evaluate_top1(m, img, np.array([pred])) == 1.0
+
+    def test_non_finite_logits_are_misses(self):
+        m = tiny_dense_model(seed=1)
+        m.params["layer2_b"][:] = np.nan  # every logit NaN: argmax would say class 0
+        imgs = np.random.default_rng(2).random((6, 3, 8, 8))
+        assert evaluate_top1(m, imgs, np.zeros(6, dtype=np.int64)) == 0.0
+        m.params["layer2_b"][:] = 0.0
+        m.params["layer2_b"][3] = np.inf  # argmax 3, but the row is not finite
+        assert evaluate_top1(m, imgs, np.full(6, 3)) == 0.0
 
     def test_invariant_under_logit_rescaling(self):
         m = tiny_dense_model(seed=1)

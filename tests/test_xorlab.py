@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from oscnet.activations import ActivationId, descriptor
+from oscnet import xorlab
+from oscnet.activations import ActivationId, apply, apply_grad, descriptor
 from oscnet.xorlab import (
     SingleNeuron,
     TrainSpec,
@@ -132,6 +133,27 @@ class TestTraining:
         cert, _ = train_single_neuron(A.SINE, TrainSpec())
         redone = tuple(neuron_forward(cert.neuron, x) for x in xor_dataset().inputs)
         assert redone == cert.margins
+
+    @pytest.mark.parametrize("id,spec", [
+        (A.DSU, TrainSpec(init_scale=2.0, restarts=3)),
+        (A.TANH, TrainSpec(restarts=2, epochs=300)),
+        (A.RELU, TrainSpec(restarts=2, epochs=300)),
+    ])
+    def test_fused_kernel_matches_separate_calls(self, monkeypatch, id, spec):
+        """Certificate and loss trace equal those of separate g and g' calls, bit for bit."""
+        cert, trace = train_single_neuron(id, spec)
+        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: (apply(i, z), apply_grad(i, z)))
+        ref_cert, ref_trace = train_single_neuron(id, spec)
+        assert cert == ref_cert
+        assert np.array_equal(trace, ref_trace)
+
+    def test_one_kernel_call_per_epoch(self, monkeypatch):
+        calls = []
+        fused = xorlab.apply_with_grad
+        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: calls.append(i) or fused(i, z))
+        monkeypatch.setattr(xorlab, "apply", lambda i, z: pytest.fail("apply called in training"))
+        _, trace = train_single_neuron(A.GCU, TrainSpec(restarts=1, epochs=50))
+        assert len(calls) == len(trace) == 50
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
