@@ -484,13 +484,6 @@ _CATALOG: dict[ActivationId, ActivationDescriptor] = {d.id: d for d in [
         small_value=(0.0, 1.0), hyperplane_count=COUNTABLY_INFINITE, xor_property=True),
 ]}
 
-# Heaviside step (0/1): metadata-only entry, not an ActivationId and excluded
-# from scans and benchmarks.  Not sign-equivalent (step(z)=0 for z<0).
-STEP_DESCRIPTOR = ActivationDescriptor(
-    ActivationId.SIGNUM, continuous=False, nondifferentiable_points=(0.0,),
-    monotonic=True, value_range=_R(0.0, 1.0), small_value=None,
-    hyperplane_count=1, sign_equivalent_identity=False, xor_property=False)
-
 
 def all_ids() -> tuple[ActivationId, ...]:
     return tuple(ActivationId)

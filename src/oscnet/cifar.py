@@ -35,18 +35,21 @@ class ImageDataset:
         return self.images.shape[0]
 
 
-def decode_records(buf: bytes, base_offset: int = 0):
-    """Decode a stream of 3073-byte records into (images, labels)."""
+def decode_records(buf: bytes, source: str = "record stream"):
+    """Decode a stream of 3073-byte records into (images, labels).
+
+    Errors name ``source``; a CorruptRecordError's offset is relative to ``buf``.
+    """
     if len(buf) % RECORD_BYTES:
         raise DataFormatError(
-            f"file size {len(buf)} is not a multiple of {RECORD_BYTES}")
+            f"{source}: size {len(buf)} is not a multiple of {RECORD_BYTES}")
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, RECORD_BYTES)
     labels = raw[:, 0].astype(np.int64)
     bad = np.flatnonzero(labels > 9)
     if bad.size:
-        offset = base_offset + int(bad[0]) * RECORD_BYTES
+        offset = int(bad[0]) * RECORD_BYTES
         raise CorruptRecordError(
-            f"label byte {labels[bad[0]]} > 9 at byte offset {offset}", offset)
+            f"{source}: label byte {labels[bad[0]]} > 9 at byte offset {offset}", offset)
     images = raw[:, 1:].reshape(-1, *IMAGE_SHAPE).astype(np.float32) / np.float32(255.0)
     return images, labels
 
@@ -92,7 +95,7 @@ def _load_files(d: Path, names) -> ImageDataset:
         f = d / name
         if not f.is_file():
             raise DataFormatError(f"missing dataset file {f}")
-        img, lab = decode_records(f.read_bytes())
+        img, lab = decode_records(f.read_bytes(), str(f))
         images.append(img)
         labels.append(lab)
     return ImageDataset(np.concatenate(images), np.concatenate(labels))

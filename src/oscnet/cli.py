@@ -53,9 +53,6 @@ class BenchConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch <= 0 or self.lr <= 0:
             raise ConfigError("epochs, batch and lr must be positive")
-        for d in self.conv_layers:
-            if d not in (1, 2, 3, 4):
-                raise ConfigError(f"conv-layers entries must be 1..4, got {d}")
 
 
 def _parse_one_activation(name: str) -> ActivationId:
@@ -117,9 +114,9 @@ def cmd_xor(args) -> int:
     return EXIT_XOR
 
 
-def _bench_cell(activation: ActivationId, depth: int, cfg: BenchConfig,
-                train_ds, test_ds, records_fh) -> dict:
-    model = build_model(NetworkConfig(depth, activation, seed=cfg.seed))
+def _bench_cell(net: NetworkConfig, cfg: BenchConfig, train_ds, test_ds, records_fh) -> dict:
+    activation, depth = net.activation, net.conv_layers
+    model = build_model(net)
     state = adam_init(model.params)
     rng = np.random.default_rng(cfg.seed + 1)
     acc_by_epoch = {}
@@ -167,6 +164,8 @@ def cmd_bench(args) -> int:
         epochs=args.epochs, batch=args.batch, lr=args.lr,
         subset=args.subset, seed=args.seed, out_dir=Path(args.out_dir),
         deterministic=args.deterministic)
+    cells = [NetworkConfig(depth, activation, seed=cfg.seed)  # checks every depth before any I/O
+             for activation in cfg.activations for depth in cfg.conv_layers]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     train_ds, test_ds = cifar.load_cifar10(data_dir)
@@ -178,12 +177,11 @@ def cmd_bench(args) -> int:
 
     summaries = []
     with open(cfg.out_dir / "records.jsonl", "w") as records_fh:
-        for activation in cfg.activations:
-            for depth in cfg.conv_layers:
-                summary = _bench_cell(activation, depth, cfg, train_ds, test_ds, records_fh)
-                summaries.append(summary)
-                print(f"bench {activation.value} conv={depth}: {summary['status']}, "
-                      f"final top-1 {summary['acc_final']}")
+        for net in cells:
+            summary = _bench_cell(net, cfg, train_ds, test_ds, records_fh)
+            summaries.append(summary)
+            print(f"bench {net.activation.value} conv={net.conv_layers}: {summary['status']}, "
+                  f"final top-1 {summary['acc_final']}")
     _write_json(cfg.out_dir / "summary.json", summaries)
     with open(cfg.out_dir / "summary.csv", "w") as fh:
         fh.write("activation,conv_layers,status,acc_epoch_20,acc_epoch_25,acc_final,acc_best\n")

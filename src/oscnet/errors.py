@@ -26,7 +26,7 @@ class LabelError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """Malformed dataset file (wrong size, unreadable record stream)."""
+    """Malformed data file (record stream, checkpoint); the message names it."""
 
 
 class CorruptRecordError(DataFormatError):

@@ -1,22 +1,29 @@
 """Model assembly, Adam, the training loop, and checkpoint serialization.
 
-The benchmark architecture family stacks ``conv_layers`` blocks of
-[3x3 same-pad conv -> activation -> 2x2 max pool] with channel widths
-(32, 64, 128, 128), then Flatten -> Dense(64, activation) -> Dropout(0.5)
--> Dense(10) logits.  Activations are pluggable everywhere.  Weights use
-He-uniform fan-in init, biases start at zero.
+A model is a list of layers over one flat parameter dict.  Each layer kind
+(Conv2d, Activation, MaxPool2, Flatten, Dense, Dropout) is one class whose
+``forward(x, params, train, rng, with_cache)`` returns ``(y, cache)`` and whose
+``backward(dy, cache, grads)`` returns dx and stores its parameter gradients in
+``grads``.  Both call the kernels in `layers`.
+
+The benchmark architecture family stacks ``conv_layers`` blocks of [3x3
+same-pad Conv2d -> Activation -> 2x2 MaxPool2] with channel widths (32, 64,
+128, 128), then Flatten -> Dense(64) -> Activation -> Dropout(0.5) -> Dense(10)
+logits.  Weights use He-uniform fan-in init, biases start at zero.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import layers
 from .activations import ActivationId
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DataFormatError, DivergenceError
 
 CONV_CHANNELS = (32, 64, 128, 128)
 PENULTIMATE_UNITS = 64
@@ -24,42 +31,6 @@ NUM_CLASSES = 10
 DROPOUT_RATE = 0.5
 
 CHECKPOINT_MAGIC = b"OSC1"
-
-
-@dataclass(frozen=True)
-class Conv2dSpec:
-    out_channels: int
-    activation: ActivationId
-
-
-@dataclass(frozen=True)
-class MaxPoolSpec:
-    pass
-
-
-@dataclass(frozen=True)
-class FlattenSpec:
-    pass
-
-
-@dataclass(frozen=True)
-class DenseSpec:
-    units: int
-    activation: ActivationId
-
-
-@dataclass(frozen=True)
-class DropoutSpec:
-    rate: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.rate}")
-
-
-@dataclass(frozen=True)
-class LogitsSpec:
-    units: int = NUM_CLASSES
 
 
 @dataclass(frozen=True)
@@ -108,43 +79,82 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     return params, state
 
 
-class Model:
-    """A sequential stack of layer specs with a flat parameter dict."""
+class Conv2d:
+    def __init__(self, name: str):
+        self.w, self.b = f"{name}_w", f"{name}_b"
 
-    def __init__(self, specs: list, params: dict, input_shape: tuple):
-        self.specs = specs
+    def forward(self, x, params, train, rng, with_cache):
+        return layers.conv2d_forward(x, params[self.w], params[self.b])
+
+    def backward(self, dy, cache, grads):
+        dx, grads[self.w], grads[self.b] = layers.conv2d_backward(dy, cache)
+        return dx
+
+
+class Dense:
+    def __init__(self, name: str):
+        self.w, self.b = f"{name}_w", f"{name}_b"
+
+    def forward(self, x, params, train, rng, with_cache):
+        return layers.dense_forward(x, params[self.w], params[self.b])
+
+    def backward(self, dy, cache, grads):
+        dx, grads[self.w], grads[self.b] = layers.dense_backward(dy, cache)
+        return dx
+
+
+class Activation:
+    def __init__(self, id: ActivationId):
+        self.id = id
+
+    def forward(self, x, params, train, rng, with_cache):
+        return layers.activation_forward(x, self.id, with_cache)
+
+    def backward(self, dy, cache, grads):
+        return layers.activation_backward(dy, cache)
+
+
+class MaxPool2:
+    def forward(self, x, params, train, rng, with_cache):
+        return layers.maxpool2_forward(x)
+
+    def backward(self, dy, cache, grads):
+        return layers.maxpool2_backward(dy, cache)
+
+
+class Flatten:
+    def forward(self, x, params, train, rng, with_cache):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, dy, cache, grads):
+        return dy.reshape(cache)
+
+
+class Dropout:
+    def __init__(self, rate: float):
+        self.rate = rate
+
+    def forward(self, x, params, train, rng, with_cache):
+        return layers.dropout_forward(x, self.rate, train, rng)
+
+    def backward(self, dy, cache, grads):
+        return layers.dropout_backward(dy, cache)
+
+
+class Model:
+    """A sequential stack of layers over a flat parameter dict."""
+
+    def __init__(self, stack: list, params: dict):
+        self.layers = stack
         self.params = params
-        self.input_shape = input_shape
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None, with_caches: bool = False):
         caches = []
-        p = self.params
-        for i, spec in enumerate(self.specs):
-            if isinstance(spec, Conv2dSpec):
-                x, cache = layers.conv2d_forward(x, p[f"layer{i}_w"], p[f"layer{i}_b"])
-                caches.append(("conv", i, cache))
-                x, acache = layers.activation_forward(x, spec.activation, with_caches)
-                caches.append(("act", None, acache))
-            elif isinstance(spec, MaxPoolSpec):
-                x, cache = layers.maxpool2_forward(x)
-                caches.append(("pool", None, cache))
-            elif isinstance(spec, FlattenSpec):
-                caches.append(("flatten", None, x.shape))
-                x = x.reshape(x.shape[0], -1)
-            elif isinstance(spec, DenseSpec):
-                x, cache = layers.dense_forward(x, p[f"layer{i}_w"], p[f"layer{i}_b"])
-                caches.append(("dense", i, cache))
-                x, acache = layers.activation_forward(x, spec.activation, with_caches)
-                caches.append(("act", None, acache))
-            elif isinstance(spec, DropoutSpec):
-                x, mask = layers.dropout_forward(x, spec.rate, train, rng)
-                caches.append(("dropout", None, mask))
-            elif isinstance(spec, LogitsSpec):
-                x, cache = layers.dense_forward(x, p[f"layer{i}_w"], p[f"layer{i}_b"])
-                caches.append(("dense", i, cache))
-            else:  # pragma: no cover - specs are closed
-                raise TypeError(f"unknown layer spec {spec!r}")
+        for layer in self.layers:
+            x, cache = layer.forward(x, self.params, train, rng, with_caches)
+            if with_caches:
+                caches.append(cache)
         return (x, caches) if with_caches else x
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray,
@@ -152,23 +162,8 @@ class Model:
         logits, caches = self.forward(x, train=train, rng=rng, with_caches=True)
         loss, d = layers.softmax_cross_entropy(logits, labels)
         grads = {}
-        for kind, key, cache in reversed(caches):
-            if kind == "dense":
-                d, dw, db = layers.dense_backward(d, cache)
-                grads[f"layer{key}_w"] = dw
-                grads[f"layer{key}_b"] = db
-            elif kind == "conv":
-                d, dw, db = layers.conv2d_backward(d, cache)
-                grads[f"layer{key}_w"] = dw
-                grads[f"layer{key}_b"] = db
-            elif kind == "act":
-                d = layers.activation_backward(d, cache)
-            elif kind == "pool":
-                d = layers.maxpool2_backward(d, cache)
-            elif kind == "flatten":
-                d = d.reshape(cache)
-            elif kind == "dropout":
-                d = layers.dropout_backward(d, cache)
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            d = layer.backward(d, cache, grads)
         return loss, grads
 
 
@@ -179,40 +174,31 @@ def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype):
 
 def build_model(cfg: NetworkConfig, input_shape: tuple = (3, 32, 32),
                 num_classes: int = NUM_CLASSES, dtype=np.float32) -> Model:
-    """Materialize the architecture family for a given depth and activation."""
-    c, h, w = input_shape
-    specs: list = []
-    for li in range(cfg.conv_layers):
-        specs.append(Conv2dSpec(CONV_CHANNELS[li], cfg.activation))
-        specs.append(MaxPoolSpec())
-    specs.append(FlattenSpec())
-    specs.append(DenseSpec(PENULTIMATE_UNITS, cfg.activation))
-    specs.append(DropoutSpec(DROPOUT_RATE))
-    specs.append(LogitsSpec(num_classes))
+    """Materialize the architecture family for a given depth and activation.
 
+    Parameter names keep the checkpoint numbering: for depth d, conv i is
+    ``layer{2i}``, the penultimate Dense ``layer{2d+1}``, the logits ``layer{2d+3}``."""
     rng = np.random.default_rng(cfg.seed)
     params: dict = {}
-    cur_c, cur_h, cur_w = c, h, w
-    for i, spec in enumerate(specs):
-        if isinstance(spec, Conv2dSpec):
-            fan_in = cur_c * layers.KERNEL * layers.KERNEL
-            params[f"layer{i}_w"] = _he_uniform(
-                rng, (spec.out_channels, cur_c, layers.KERNEL, layers.KERNEL), fan_in, dtype)
-            params[f"layer{i}_b"] = np.zeros(spec.out_channels, dtype=dtype)
-            cur_c = spec.out_channels
-        elif isinstance(spec, MaxPoolSpec):
-            cur_h //= 2
-            cur_w //= 2
-        elif isinstance(spec, FlattenSpec):
-            flat = cur_c * cur_h * cur_w
-        elif isinstance(spec, DenseSpec):
-            params[f"layer{i}_w"] = _he_uniform(rng, (flat, spec.units), flat, dtype)
-            params[f"layer{i}_b"] = np.zeros(spec.units, dtype=dtype)
-            flat = spec.units
-        elif isinstance(spec, LogitsSpec):
-            params[f"layer{i}_w"] = _he_uniform(rng, (flat, spec.units), flat, dtype)
-            params[f"layer{i}_b"] = np.zeros(spec.units, dtype=dtype)
-    return Model(specs, params, input_shape)
+
+    def affine(layer, w_shape, fan_in, units):
+        params[layer.w] = _he_uniform(rng, w_shape, fan_in, dtype)
+        params[layer.b] = np.zeros(units, dtype=dtype)
+        return layer
+
+    c, h, w = input_shape
+    k = layers.KERNEL
+    stack: list = []
+    for li in range(cfg.conv_layers):
+        out = CONV_CHANNELS[li]
+        stack += [affine(Conv2d(f"layer{2 * li}"), (out, c, k, k), c * k * k, out),
+                  Activation(cfg.activation), MaxPool2()]
+        c, h, w = out, h // 2, w // 2
+    flat, top, units = c * h * w, 2 * cfg.conv_layers, PENULTIMATE_UNITS
+    stack += [Flatten(), affine(Dense(f"layer{top + 1}"), (flat, units), flat, units),
+              Activation(cfg.activation), Dropout(DROPOUT_RATE),
+              affine(Dense(f"layer{top + 3}"), (units, num_classes), units, num_classes)]
+    return Model(stack, params)
 
 
 def train_epoch(model: Model, images: np.ndarray, labels: np.ndarray,
@@ -286,21 +272,34 @@ def save_checkpoint(path, params: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        shapes = []
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            shapes.append((name, shape))
-        params = {}
-        for name, shape in shapes:
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * size), dtype="<f4")
-            params[name] = data.reshape(shape).copy()
+    """Read a `save_checkpoint` file.  A bad magic, truncation or trailing
+    bytes raise DataFormatError naming the path and the byte offset."""
+    buf = Path(path).read_bytes()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise DataFormatError(f"{path}: checkpoint truncated: {n} bytes needed at byte "
+                                  f"offset {pos}, file has {len(buf)}")
+        pos += n
+        return buf[pos - n:pos]
+
+    magic = take(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise DataFormatError(f"{path}: bad checkpoint magic {magic!r} at byte offset 0")
+    shapes = []
+    for _ in range(struct.unpack("<I", take(4))[0]):
+        (nlen,) = struct.unpack("<H", take(2))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: tensor name is not UTF-8 at byte offset {pos - nlen}") from None
+        ndim = take(1)[0]
+        shapes.append((name, struct.unpack(f"<{ndim}I", take(4 * ndim))))
+    params = {}
+    for name, shape in shapes:
+        params[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
+    if pos != len(buf):
+        raise DataFormatError(f"{path}: {len(buf) - pos} trailing bytes at byte offset {pos}")
     return params

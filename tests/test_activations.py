@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oscnet.activations import (
     COUNTABLY_INFINITE,
-    STEP_DESCRIPTOR,
     ActivationId,
     all_ids,
     apply,
@@ -154,11 +153,6 @@ class TestDescriptor:
         assert descriptor(A.DSU).small_value == (0.0, 1.0)
         assert descriptor(A.MISH).small_value == (0.0, 0.6)  # tanh(ln 2) = 3/5
         assert descriptor(A.RELU).small_value is None
-
-    def test_step_is_metadata_only(self):
-        assert STEP_DESCRIPTOR.sign_equivalent_identity is False
-        assert STEP_DESCRIPTOR.xor_property is False
-        assert STEP_DESCRIPTOR.hyperplane_count == 1
 
     @pytest.mark.parametrize(
         "id", [i for i in all_ids() if descriptor(i).small_value == (0.0, 1.0)])

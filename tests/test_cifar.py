@@ -95,6 +95,19 @@ class TestLoader:
         with pytest.raises(DataFormatError, match="data_batch_3"):
             load_cifar10(synthetic_archive)
 
+    def test_errors_name_the_file(self, synthetic_archive):
+        bad = synthetic_archive / "data_batch_4.bin"
+        raw = bytearray(bad.read_bytes())
+        raw[2 * RECORD_BYTES] = 12
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CorruptRecordError) as err:
+            load_cifar10(synthetic_archive)
+        assert str(bad) in str(err.value)
+        assert err.value.offset == 2 * RECORD_BYTES  # relative to that file
+        bad.write_bytes(bytes(raw[:RECORD_BYTES + 5]))
+        with pytest.raises(DataFormatError, match="data_batch_4.bin: size"):
+            load_cifar10(synthetic_archive)
+
     def test_record_count_follows_file_size(self, synthetic_archive):
         # a 30,730,000-byte file holds exactly 10,000 records
         big = synthetic_archive / "test_batch.bin"

@@ -121,6 +121,12 @@ class TestBench:
         assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", tmp_path,
                     "--conv-layers", "9"]) == EXIT_CONFIG
 
+    def test_bad_depth_fails_before_any_data_is_read(self, tmp_path):
+        # a missing archive would exit EXIT_DATA if it were read first
+        assert run(["bench", "--data-dir", tmp_path / "absent", "--out-dir", tmp_path / "o",
+                    "--activations", "relu", "--conv-layers", "2,9"]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
 
 class TestEmitPlots:
     def _records(self, path, rows):

@@ -5,14 +5,14 @@ import pytest
 
 from oscnet import activations, layers
 from oscnet.activations import ActivationId
-from oscnet.errors import ConfigError, DivergenceError
+from oscnet.errors import ConfigError, DataFormatError, DivergenceError
 from oscnet.network import (
     CHECKPOINT_MAGIC,
+    Activation,
     AdamState,
-    Conv2dSpec,
-    DenseSpec,
-    FlattenSpec,
-    LogitsSpec,
+    Conv2d,
+    Dense,
+    Flatten,
     Model,
     NetworkConfig,
     adam_init,
@@ -31,7 +31,7 @@ A = ActivationId
 def tiny_dense_model(activation=A.RELU, in_shape=(3, 8, 8), units=16, classes=10,
                      seed=0, dtype=np.float64):
     """Small dropout-free stack for fast, noise-free training oracles."""
-    specs = [FlattenSpec(), DenseSpec(units, activation), LogitsSpec(classes)]
+    stack = [Flatten(), Dense("layer1"), Activation(activation), Dense("layer2")]
     rng = np.random.default_rng(seed)
     flat = int(np.prod(in_shape))
     params = {
@@ -40,29 +40,42 @@ def tiny_dense_model(activation=A.RELU, in_shape=(3, 8, 8), units=16, classes=10
         "layer2_w": rng.uniform(-1, 1, (units, classes)).astype(dtype) * np.sqrt(6.0 / units),
         "layer2_b": np.zeros(classes, dtype=dtype),
     }
-    return Model(specs, params, in_shape)
+    return Model(stack, params)
 
 
 class TestBuildModel:
     def test_single_block_flatten_dim(self):
         m = build_model(NetworkConfig(1, A.RELU, seed=0))
-        dense = next(i for i, s in enumerate(m.specs) if isinstance(s, DenseSpec))
-        assert m.params[f"layer{dense}_w"].shape == (32 * 16 * 16, 64)
+        dense = next(s for s in m.layers if isinstance(s, Dense))
+        assert m.params[dense.w].shape == (32 * 16 * 16, 64)
 
     def test_four_blocks_reach_2x2(self):
         m = build_model(NetworkConfig(4, A.SQU, seed=0))
-        dense = next(i for i, s in enumerate(m.specs) if isinstance(s, DenseSpec))
-        assert m.params[f"layer{dense}_w"].shape == (128 * 2 * 2, 64)
+        dense = next(s for s in m.layers if isinstance(s, Dense))
+        assert m.params[dense.w].shape == (128 * 2 * 2, 64)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_penultimate_always_64_units(self, depth):
         m = build_model(NetworkConfig(depth, A.GCU, seed=0))
-        dense = [s for s in m.specs if isinstance(s, DenseSpec)]
-        assert len(dense) == 1 and dense[0].units == 64
+        dense = [s for s in m.layers if isinstance(s, Dense)]
+        assert [m.params[s.b].shape for s in dense] == [(64,), (10,)]
+        assert isinstance(m.layers[m.layers.index(dense[0]) + 1], Activation)
+
+    def test_parameter_names_shapes_and_dtypes_keep_the_checkpoint_layout(self):
+        m = build_model(NetworkConfig(2, A.RELU, seed=0))
+        assert {k: v.shape for k, v in m.params.items()} == {
+            "layer0_w": (32, 3, 3, 3), "layer0_b": (32,),
+            "layer2_w": (64, 32, 3, 3), "layer2_b": (64,),
+            "layer5_w": (64 * 8 * 8, 64), "layer5_b": (64,),
+            "layer7_w": (64, 10), "layer7_b": (10,),
+        }
+        assert list(m.params) == ["layer0_w", "layer0_b", "layer2_w", "layer2_b",
+                                  "layer5_w", "layer5_b", "layer7_w", "layer7_b"]
+        assert {v.dtype for v in m.params.values()} == {np.dtype(np.float32)}
 
     def test_channel_progression(self):
         m = build_model(NetworkConfig(3, A.TANH, seed=0))
-        convs = [s.out_channels for s in m.specs if isinstance(s, Conv2dSpec)]
+        convs = [m.params[s.w].shape[0] for s in m.layers if isinstance(s, Conv2d)]
         assert convs == [32, 64, 128]
 
     @pytest.mark.parametrize("depth", [0, 5])
@@ -100,6 +113,49 @@ class TestBuildModel:
         x = rng.random((4, 3, 32, 32), dtype=np.float32)
         _, grads = m.loss_and_grads(x, rng.integers(0, 10, 4), rng=rng)
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
+KERNELS = ("conv2d_forward", "conv2d_backward", "maxpool2_forward", "maxpool2_backward",
+           "activation_forward", "activation_backward", "dense_forward", "dense_backward",
+           "dropout_forward", "dropout_backward", "softmax_cross_entropy")
+
+
+class TestKernelCalls:
+    """Every kernel is looked up on `layers` at call time, so replacing a
+    module attribute (as a tracer does) sees every call."""
+
+    def _count(self, monkeypatch):
+        calls = dict.fromkeys(KERNELS, 0)
+        for name in KERNELS:
+            def counting(*args, _name=name, _real=getattr(layers, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(layers, name, counting)
+        return calls
+
+    def test_one_training_step_calls_each_kernel_once_per_layer(self, monkeypatch):
+        m = build_model(NetworkConfig(2, A.GCU, seed=0))
+        rng = np.random.default_rng(0)
+        x = rng.random((3, 3, 32, 32), dtype=np.float32)
+        calls = self._count(monkeypatch)
+        m.loss_and_grads(x, rng.integers(0, 10, 3), rng=rng)
+        assert calls == {
+            "conv2d_forward": 2, "conv2d_backward": 2,
+            "maxpool2_forward": 2, "maxpool2_backward": 2,
+            "activation_forward": 3, "activation_backward": 3,
+            "dense_forward": 2, "dense_backward": 2,
+            "dropout_forward": 1, "dropout_backward": 1,
+            "softmax_cross_entropy": 1,
+        }
+
+    def test_eval_forward_calls_no_backward(self, monkeypatch):
+        m = build_model(NetworkConfig(2, A.GCU, seed=0))
+        x = np.random.default_rng(0).random((3, 3, 32, 32), dtype=np.float32)
+        calls = self._count(monkeypatch)
+        m.forward(x)
+        assert {k: v for k, v in calls.items() if v} == {
+            "conv2d_forward": 2, "maxpool2_forward": 2, "activation_forward": 3,
+            "dense_forward": 2, "dropout_forward": 1}
 
 
 class TestAdam:
@@ -255,9 +311,9 @@ class TestSignumGradientFlow:
         x = rng.random((4, 3, 32, 32), dtype=np.float32)
         labels = rng.integers(0, 10, 4)
         _, grads = m.loss_and_grads(x, labels, rng=np.random.default_rng(1))
-        logits_idx = next(i for i, s in enumerate(m.specs) if isinstance(s, LogitsSpec))
+        logits = m.layers[-1]
         for name, g in grads.items():
-            if name.startswith(f"layer{logits_idx}_"):
+            if name in (logits.w, logits.b):
                 assert np.abs(g).max() > 0
             else:
                 assert np.abs(g).max() == 0.0, name
@@ -316,6 +372,36 @@ class TestCheckpoints:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_every_truncated_prefix_is_a_data_format_error(self, tmp_path):
+        src = tmp_path / "model.ckpt"
+        save_checkpoint(src, {"w": np.ones((2, 3), dtype=np.float32),
+                              "bias": np.zeros(3, dtype=np.float32)})
+        blob = src.read_bytes()
+        path = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(DataFormatError) as err:
+                load_checkpoint(path)
+            assert str(path) in str(err.value)
+            assert "byte offset" in str(err.value), n
+
+    def test_trailing_bytes_are_a_data_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones(4, dtype=np.float32)})
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataFormatError, match=f"byte offset {size}"):
+            load_checkpoint(path)
+
+    def test_corrupt_header_is_a_data_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
+        good = path.read_bytes()  # magic, count, name length, b"w" at offset 10, ndim, dims
+        for cut, patch in ((10, b"\xff"), (12, b"\xff\xff\xff\xff")):
+            path.write_bytes(good[:cut] + patch + good[cut + len(patch):])
+            with pytest.raises(DataFormatError, match="byte offset"):
+                load_checkpoint(path)
 
     def test_restored_model_reproduces_logits(self, tmp_path):
         m = build_model(NetworkConfig(1, A.DSU, seed=3))
