@@ -43,8 +43,6 @@ from .network import (
     adam_step,
     build_model,
     evaluate_top1,
-    load_checkpoint,
-    save_checkpoint,
     train_epoch,
 )
 from .cifar import ImageDataset, load_cifar10, stratified_subset, synthetic_check_image

@@ -87,9 +87,6 @@ class ValueRange:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return (self.lo - tol) <= x <= (self.hi + tol)
-
 
 @dataclass(frozen=True)
 class ActivationDescriptor:
@@ -494,46 +491,36 @@ def descriptor(id: ActivationId) -> ActivationDescriptor:
     return _CATALOG[ActivationId(id)]
 
 
-def _merged_params(id: ActivationId, params: dict | None) -> dict:
-    base = _CATALOG[id].params
-    if not params:
-        return base
-    merged = dict(base)
-    merged.update(params)
-    return merged
-
-
-def _kernel(id: ActivationId, z, params: dict | None):
+def _kernel(id: ActivationId, z):
     """The kernel generator of ``id`` over ``z``; non-float input runs in float64."""
     if not isinstance(id, ActivationId):  # converting a member costs more than the kernel on a scalar
         id = ActivationId(id)
     z = np.asarray(z)
     if z.dtype.kind != "f":
         z = z.astype(np.float64)
-    return _KERNELS[id](z, _merged_params(id, params))
+    return _KERNELS[id](z, _CATALOG[id].params)
 
 
-def apply(id: ActivationId, z: np.ndarray, params: dict | None = None) -> np.ndarray:
+def apply(id: ActivationId, z: np.ndarray) -> np.ndarray:
     """Vectorized g(z); dtype of ``z`` is preserved."""
-    return next(_kernel(id, z, params))
+    return next(_kernel(id, z))
 
 
-def apply_grad(id: ActivationId, z: np.ndarray, params: dict | None = None) -> np.ndarray:
+def apply_grad(id: ActivationId, z: np.ndarray) -> np.ndarray:
     """Vectorized g'(z) with subgradient 0 at kink points."""
-    run = _kernel(id, z, params)
+    run = _kernel(id, z)
     next(run)
     return next(run)
 
 
-def apply_with_grad(id: ActivationId, z: np.ndarray,
-                    params: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def apply_with_grad(id: ActivationId, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(g(z), g'(z)) from one kernel pass; bitwise equal to (apply, apply_grad)."""
-    run = _kernel(id, z, params)
+    run = _kernel(id, z)
     g = next(run)
     return g, next(run)
 
 
-def evaluate(id: ActivationId, z: float, params: dict | None = None) -> float:
+def evaluate(id: ActivationId, z: float) -> float:
     """g(z) for a scalar input.
 
     Raises DomainError for non-finite input.  Saturating forms are evaluated
@@ -541,10 +528,10 @@ def evaluate(id: ActivationId, z: float, params: dict | None = None) -> float:
     """
     if not math.isfinite(z):
         raise DomainError(f"activation input must be finite, got {z!r}")
-    return float(apply(id, np.float64(z), params))
+    return float(apply(id, np.float64(z)))
 
 
-def derivative(id: ActivationId, z: float, params: dict | None = None) -> float:
+def derivative(id: ActivationId, z: float) -> float:
     """Analytic g'(z) for a scalar input.
 
     Raises KinkError when z is exactly a non-differentiable point of g; the
@@ -555,4 +542,4 @@ def derivative(id: ActivationId, z: float, params: dict | None = None) -> float:
         raise DomainError(f"activation input must be finite, got {z!r}")
     if z in _CATALOG[id].nondifferentiable_points:
         raise KinkError(f"{id.value} is not differentiable at z = {z}")
-    return float(apply_grad(id, np.float64(z), params))
+    return float(apply_grad(id, np.float64(z)))

@@ -109,6 +109,8 @@ def load_cifar10(data_dir):
 
 def stratified_subset(ds: ImageDataset, n: int, seed: int) -> ImageDataset:
     """Exactly n/10 samples per class, chosen by a seeded shuffle within class."""
+    if n <= 0:
+        raise ConfigError(f"subset size must be positive, got {n}")
     if n % NUM_CLASSES:
         raise ConfigError(f"subset size must be divisible by {NUM_CLASSES}, got {n}")
     if n > len(ds):

@@ -11,7 +11,8 @@ bench        run the (activation x conv_layers) benchmark matrix on CIFAR-10,
 emit-plots   reshape benchmark records into plottable long-format CSV series
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 property contradiction,
-5 XOR failure (neither training nor grid search produced a valid certificate).
+5 XOR failure (neither training nor grid search produced a valid certificate),
+6 a bench cell diverged (its records and the summaries are still written).
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import cifar, network, properties, xorlab
+from . import cifar, properties, xorlab
 from .activations import ActivationId, all_ids
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, DivergenceError
 from .network import NetworkConfig, adam_init, build_model, evaluate_top1, train_epoch
 
 EXIT_OK = 0
@@ -36,23 +36,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_PROPERTY = 4
 EXIT_XOR = 5
-
-
-@dataclass
-class BenchConfig:
-    activations: list
-    conv_layers: list
-    epochs: int = 25
-    batch: int = 64
-    lr: float = 1e-4
-    subset: int | None = None
-    seed: int = 0
-    out_dir: Path = Path(".")
-    deterministic: bool = False
-
-    def __post_init__(self):
-        if self.epochs <= 0 or self.batch <= 0 or self.lr <= 0:
-            raise ConfigError("epochs, batch and lr must be positive")
+EXIT_DIVERGED = 6
 
 
 def _parse_one_activation(name: str) -> ActivationId:
@@ -114,20 +98,20 @@ def cmd_xor(args) -> int:
     return EXIT_XOR
 
 
-def _bench_cell(net: NetworkConfig, cfg: BenchConfig, train_ds, test_ds, records_fh) -> dict:
+def _bench_cell(net: NetworkConfig, args, train_ds, test_ds, records_fh) -> dict:
     activation, depth = net.activation, net.conv_layers
     model = build_model(net)
     state = adam_init(model.params)
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(args.seed + 1)
     acc_by_epoch = {}
     status = "ok"
     cell_start = time.perf_counter()
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, args.epochs + 1):
         t0 = time.perf_counter()
         try:
             loss = train_epoch(model, train_ds.images, train_ds.labels,
-                               state, cfg.lr, rng, batch=cfg.batch)
-        except network.DivergenceError as exc:
+                               state, args.lr, rng, batch=args.batch)
+        except DivergenceError as exc:
             status = f"diverged at epoch {epoch} ({exc})"
             break
         acc = evaluate_top1(model, test_ds.images, test_ds.labels)
@@ -138,7 +122,7 @@ def _bench_cell(net: NetworkConfig, cfg: BenchConfig, train_ds, test_ds, records
             "epoch": epoch,
             "train_loss": loss,
             "test_top1": acc,
-            "wall_seconds": 0.0 if cfg.deterministic else time.perf_counter() - t0,
+            "wall_seconds": 0.0 if args.deterministic else time.perf_counter() - t0,
         }
         records_fh.write(json.dumps(record, sort_keys=True) + "\n")
         records_fh.flush()
@@ -150,7 +134,7 @@ def _bench_cell(net: NetworkConfig, cfg: BenchConfig, train_ds, test_ds, records
         "acc_epoch_25": acc_by_epoch.get(25),
         "acc_final": acc_by_epoch.get(max(acc_by_epoch)) if acc_by_epoch else None,
         "acc_best": max(acc_by_epoch.values()) if acc_by_epoch else None,
-        "wall_seconds": 0.0 if cfg.deterministic else time.perf_counter() - cell_start,
+        "wall_seconds": 0.0 if args.deterministic else time.perf_counter() - cell_start,
     }
 
 
@@ -158,37 +142,35 @@ def cmd_bench(args) -> int:
     data_dir = args.data_dir or os.environ.get("OSC_DATA_DIR")
     if not data_dir:
         raise ConfigError("bench needs --data-dir or OSC_DATA_DIR")
-    cfg = BenchConfig(
-        activations=_parse_activations(args.activations),
-        conv_layers=[int(x) for x in args.conv_layers.split(",")],
-        epochs=args.epochs, batch=args.batch, lr=args.lr,
-        subset=args.subset, seed=args.seed, out_dir=Path(args.out_dir),
-        deterministic=args.deterministic)
-    cells = [NetworkConfig(depth, activation, seed=cfg.seed)  # checks every depth before any I/O
-             for activation in cfg.activations for depth in cfg.conv_layers]
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    if args.epochs <= 0 or args.batch <= 0 or args.lr <= 0:
+        raise ConfigError("epochs, batch and lr must be positive")
+    depths = [int(x) for x in args.conv_layers.split(",")]
+    cells = [NetworkConfig(depth, activation, seed=args.seed)  # checks every depth before any I/O
+             for activation in _parse_activations(args.activations) for depth in depths]
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     train_ds, test_ds = cifar.load_cifar10(data_dir)
-    if cfg.subset:
-        train_ds = cifar.stratified_subset(train_ds, cfg.subset, cfg.seed)
-        test_n = min(len(test_ds), max(cfg.subset // 5, cifar.NUM_CLASSES))
+    if args.subset is not None:
+        train_ds = cifar.stratified_subset(train_ds, args.subset, args.seed)
+        test_n = min(len(test_ds), max(args.subset // 5, cifar.NUM_CLASSES))
         test_n -= test_n % cifar.NUM_CLASSES
-        test_ds = cifar.stratified_subset(test_ds, test_n, cfg.seed)
+        test_ds = cifar.stratified_subset(test_ds, test_n, args.seed)
 
     summaries = []
-    with open(cfg.out_dir / "records.jsonl", "w") as records_fh:
+    with open(out / "records.jsonl", "w") as records_fh:
         for net in cells:
-            summary = _bench_cell(net, cfg, train_ds, test_ds, records_fh)
+            summary = _bench_cell(net, args, train_ds, test_ds, records_fh)
             summaries.append(summary)
             print(f"bench {net.activation.value} conv={net.conv_layers}: {summary['status']}, "
                   f"final top-1 {summary['acc_final']}")
-    _write_json(cfg.out_dir / "summary.json", summaries)
-    with open(cfg.out_dir / "summary.csv", "w") as fh:
+    _write_json(out / "summary.json", summaries)
+    with open(out / "summary.csv", "w") as fh:
         fh.write("activation,conv_layers,status,acc_epoch_20,acc_epoch_25,acc_final,acc_best\n")
         for s in summaries:
             fh.write(f"{s['activation']},{s['conv_layers']},{s['status']},"
                      f"{s['acc_epoch_20']},{s['acc_epoch_25']},{s['acc_final']},{s['acc_best']}\n")
-    return EXIT_OK
+    return EXIT_DIVERGED if any(s["status"] != "ok" for s in summaries) else EXIT_OK
 
 
 def _read_records(path: Path) -> list:

@@ -26,7 +26,7 @@ class LabelError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """Malformed data file (record stream, checkpoint); the message names it."""
+    """Malformed data file or record stream; the message names its source."""
 
 
 class CorruptRecordError(DataFormatError):

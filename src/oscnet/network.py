@@ -1,4 +1,4 @@
-"""Model assembly, Adam, the training loop, and checkpoint serialization.
+"""Model assembly, Adam, the training loop and evaluation.
 
 A model is a list of layers over one flat parameter dict.  Each layer kind
 (Conv2d, Activation, MaxPool2, Flatten, Dense, Dropout) is one class whose
@@ -14,23 +14,22 @@ logits.  Weights use He-uniform fan-in init, biases start at zero.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import layers
 from .activations import ActivationId
-from .errors import ConfigError, DataFormatError, DivergenceError
+from .errors import ConfigError, DivergenceError
 
 CONV_CHANNELS = (32, 64, 128, 128)
 PENULTIMATE_UNITS = 64
 NUM_CLASSES = 10
 DROPOUT_RATE = 0.5
 
-CHECKPOINT_MAGIC = b"OSC1"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,23 +48,18 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: dict, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(params: dict) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(v) for k, v in params.items()},
-        v={k: np.zeros_like(v) for k, v in params.items()},
-        t=0, beta1=beta1, beta2=beta2, eps=eps)
+        v={k: np.zeros_like(v) for k, v in params.items()})
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     """One bias-corrected Adam update, in place.  Returns (params, state)."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for k, g in grads.items():
@@ -75,7 +69,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * np.square(g)
-        params[k] -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        params[k] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
@@ -176,8 +170,10 @@ def build_model(cfg: NetworkConfig, input_shape: tuple = (3, 32, 32),
                 num_classes: int = NUM_CLASSES, dtype=np.float32) -> Model:
     """Materialize the architecture family for a given depth and activation.
 
-    Parameter names keep the checkpoint numbering: for depth d, conv i is
-    ``layer{2i}``, the penultimate Dense ``layer{2d+1}``, the logits ``layer{2d+3}``."""
+    Parameter names count two slots per block (conv with its activation, then
+    the pool), then Flatten, Dense, Dropout and the logits: for depth d, conv i
+    is ``layer{2i}``, the penultimate Dense ``layer{2d+1}``, the logits
+    ``layer{2d+3}``."""
     rng = np.random.default_rng(cfg.seed)
     params: dict = {}
 
@@ -225,18 +221,6 @@ def train_epoch(model: Model, images: np.ndarray, labels: np.ndarray,
     return total / n
 
 
-def evaluate_loss(model: Model, images: np.ndarray, labels: np.ndarray,
-                  batch: int = 256) -> float:
-    """Mean cross-entropy in eval mode (dropout off)."""
-    n = images.shape[0]
-    total = 0.0
-    for start in range(0, n, batch):
-        logits = model.forward(images[start:start + batch], train=False)
-        loss, _ = layers.softmax_cross_entropy(logits, labels[start:start + batch])
-        total += loss * min(batch, n - start)
-    return total / n
-
-
 def evaluate_top1(model: Model, images: np.ndarray, labels: np.ndarray,
                   batch: int = 256) -> float:
     """Fraction of samples whose argmax logit equals the label.
@@ -251,55 +235,3 @@ def evaluate_top1(model: Model, images: np.ndarray, labels: np.ndarray,
         hit = (logits.argmax(axis=1) == labels[start:start + batch]) & np.isfinite(logits).all(axis=1)
         hits += int(hit.sum())
     return hits / n
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: b"OSC1", then a shape table, then little-endian float32 data
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(path, params: dict) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(params)))
-        for name, arr in params.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        for arr in params.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def load_checkpoint(path) -> dict:
-    """Read a `save_checkpoint` file.  A bad magic, truncation or trailing
-    bytes raise DataFormatError naming the path and the byte offset."""
-    buf = Path(path).read_bytes()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(buf):
-            raise DataFormatError(f"{path}: checkpoint truncated: {n} bytes needed at byte "
-                                  f"offset {pos}, file has {len(buf)}")
-        pos += n
-        return buf[pos - n:pos]
-
-    magic = take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"{path}: bad checkpoint magic {magic!r} at byte offset 0")
-    shapes = []
-    for _ in range(struct.unpack("<I", take(4))[0]):
-        (nlen,) = struct.unpack("<H", take(2))
-        try:
-            name = take(nlen).decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataFormatError(f"{path}: tensor name is not UTF-8 at byte offset {pos - nlen}") from None
-        ndim = take(1)[0]
-        shapes.append((name, struct.unpack(f"<{ndim}I", take(4 * ndim))))
-    params = {}
-    for name, shape in shapes:
-        params[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
-    if pos != len(buf):
-        raise DataFormatError(f"{path}: {len(buf) - pos} trailing bytes at byte offset {pos}")
-    return params

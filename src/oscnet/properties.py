@@ -29,6 +29,8 @@ from .activations import derivative  # noqa: F401  perfbench/spans.py hooks prop
 from .errors import UnsupportedPropertyError
 
 SIGN_ZERO_TOL = 1e-12
+RANGE_ENDPOINT_TOL = 0.01  # a closed finite range endpoint must be matched this closely
+MAX_REPORTED_VIOLATIONS = 5
 
 
 @dataclass(frozen=True)
@@ -181,15 +183,14 @@ class RangeScanReport:
     observed_min: float
     observed_max: float
     within_range: bool        # observed extremes inside the stated range (±1e-9)
-    endpoints_approached: bool  # each attained finite endpoint matched within 0.01
+    endpoints_approached: bool  # each attained finite endpoint matched within RANGE_ENDPOINT_TOL
 
     @property
     def passed(self) -> bool:
         return self.within_range and self.endpoints_approached
 
 
-def range_scan(id: ActivationId, iv: Interval,
-               endpoint_tol: float = 0.01) -> RangeScanReport:
+def range_scan(id: ActivationId, iv: Interval) -> RangeScanReport:
     """Scan min/max of g and compare against the descriptor's range."""
     r = descriptor(id).value_range
     vals = apply(id, iv.grid())
@@ -197,9 +198,9 @@ def range_scan(id: ActivationId, iv: Interval,
     within = (lo >= r.lo - 1e-9) and (hi <= r.hi + 1e-9)
     approached = True
     if r.lo_closed and math.isfinite(r.lo):
-        approached &= abs(lo - r.lo) <= endpoint_tol
+        approached &= abs(lo - r.lo) <= RANGE_ENDPOINT_TOL
     if r.hi_closed and math.isfinite(r.hi):
-        approached &= abs(hi - r.hi) <= endpoint_tol
+        approached &= abs(hi - r.hi) <= RANGE_ENDPOINT_TOL
     return RangeScanReport(id, lo, hi, within, approached)
 
 
@@ -210,13 +211,13 @@ class MonotonicityReport:
     violations: tuple  # first few gridpoints z where g(z+step) < g(z)
 
 
-def monotonicity_scan(id: ActivationId, iv: Interval, max_violations: int = 5) -> MonotonicityReport:
+def monotonicity_scan(id: ActivationId, iv: Interval) -> MonotonicityReport:
     """True iff g(z+step) >= g(z) at every gridpoint."""
     grid = iv.grid()
     vals = apply(id, grid)
     bad = np.flatnonzero(np.diff(vals) < 0)
     return MonotonicityReport(id, bad.size == 0,
-                              tuple(float(grid[i]) for i in bad[:max_violations]))
+                              tuple(float(grid[i]) for i in bad[:MAX_REPORTED_VIOLATIONS]))
 
 
 @dataclass(frozen=True)

@@ -70,11 +70,6 @@ class TestEvaluate:
         for z in (-3.0, -0.5, 0.0, 1.7, 10.0):
             assert evaluate(A.SILU, z) == evaluate(A.SWISH, z)
 
-    def test_srs_params_override(self):
-        # z/(z/a + e^(-z/b)) at z=1 with a=1, b=1: 1/(1 + e^-1)
-        got = evaluate(A.SOFT_ROOT_SIGN, 1.0, params={"alpha": 1.0, "beta": 1.0})
-        assert got == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-14)
-
     @pytest.mark.parametrize("id", all_ids())
     def test_finite_on_working_domain(self, id):
         """No overflow to inf/nan anywhere in |z| <= 50."""

@@ -18,6 +18,12 @@ from oscnet.cifar import (
 from oscnet.errors import ConfigError, CorruptRecordError, DataFormatError
 
 
+def decoded_table(buf: bytes) -> np.ndarray:
+    """Decoded records as one row per record: the label, then the 3072 pixels."""
+    images, labels = decode_records(buf)
+    return np.column_stack([labels, images.reshape(len(labels), -1)])
+
+
 class TestRecordCodec:
     def test_constant_zero_record(self):
         images, labels = decode_records(synthetic_check_image("constant", 0, value=0))
@@ -67,6 +73,52 @@ class TestRecordCodec:
             decode_records(good + bytes(bad))
         assert err.value.offset == RECORD_BYTES
         assert "17" in str(err.value)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_flipped_byte_changes_one_value_or_is_a_corrupt_label(self, data):
+        """A stream of valid records with one byte changed: a label byte above 9
+        is a CorruptRecordError at its record's start; any other change decodes,
+        and only the flipped value differs."""
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        raw = rng.integers(0, 256, (n, RECORD_BYTES), dtype=np.uint8)
+        raw[:, 0] = rng.integers(0, 10, n)
+        want = decoded_table(raw.tobytes())
+        rec = data.draw(st.integers(min_value=0, max_value=n - 1))
+        # label bytes are 1 in 3073 of the stream: draw them half the time
+        col = data.draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=RECORD_BYTES - 1)))
+        old = int(raw[rec, col])
+        new = data.draw(st.integers(min_value=0, max_value=255).filter(lambda v: v != old))
+        raw[rec, col] = new
+        if col == 0 and new > 9:
+            with pytest.raises(CorruptRecordError) as err:
+                decode_records(raw.tobytes())
+            assert err.value.offset == rec * RECORD_BYTES
+            return
+        got = decoded_table(raw.tobytes())
+        assert np.argwhere(got != want).tolist() == [[rec, col]]
+        assert got[rec, col] == (new if col == 0 else np.float32(new) / np.float32(255.0))
+
+    def test_every_label_byte_value(self):
+        good = synthetic_check_image("constant", 4, value=7)
+        for label in range(256):
+            stream = good + bytes([label]) + good[1:]
+            if label > 9:
+                with pytest.raises(CorruptRecordError) as err:
+                    decode_records(stream)
+                assert err.value.offset == RECORD_BYTES
+            else:
+                assert decode_records(stream)[1].tolist() == [4, label]
+
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=RECORD_BYTES - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_stream_is_a_format_error_naming_the_source(self, n, cut):
+        stream = synthetic_check_image("gradient", 3) * n
+        with pytest.raises(DataFormatError) as err:
+            decode_records(stream[:-cut], source="batch-under-test")
+        assert type(err.value) is DataFormatError
+        assert "batch-under-test" in str(err.value)
 
     def test_bad_synthetic_arguments(self):
         with pytest.raises(ConfigError):
@@ -144,6 +196,11 @@ class TestStratifiedSubset:
     def test_indivisible_size_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
             stratified_subset(self._dataset(), 55, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -10])
+    def test_non_positive_size_rejected(self, n):
+        with pytest.raises(ConfigError, match="positive"):
+            stratified_subset(self._dataset(), n, seed=0)
 
     def test_oversized_request_rejected(self):
         with pytest.raises(ConfigError):

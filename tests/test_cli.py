@@ -8,6 +8,7 @@ import pytest
 from oscnet.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_OK,
     EXIT_XOR,
     main,
@@ -106,6 +107,25 @@ class TestBench:
         run(args + ["--out-dir", tmp_path / "b"])
         for name in ("records.jsonl", "summary.json", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_divergence_exits_nonzero_after_writing_the_summary(self, synthetic_archive, tmp_path):
+        out = tmp_path / "bench"
+        assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", out,
+                    "--activations", "relu", "--conv-layers", "1",
+                    "--epochs", "2", "--subset", "100", "--batch", "16",
+                    "--lr", "1e12", "--deterministic"]) == EXIT_DIVERGED == 6
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary[0]["status"].startswith("diverged")
+        assert "diverged" in (out / "summary.csv").read_text()
+        assert (out / "records.jsonl").is_file()
+
+    @pytest.mark.parametrize("subset", ["-10", "0"])
+    def test_non_positive_subset_is_a_config_error(self, synthetic_archive, tmp_path, capsys, subset):
+        assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", tmp_path,
+                    "--activations", "relu", "--conv-layers", "1", "--epochs", "1",
+                    "--subset", subset]) == EXIT_CONFIG
+        assert "positive" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
 
     def test_missing_data_dir_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("OSC_DATA_DIR", raising=False)

@@ -1,15 +1,13 @@
-"""Model assembly, Adam, training loop, determinism, checkpoints."""
+"""Model assembly, layer kernel calls, Adam, training loop, determinism, evaluation."""
 
 import numpy as np
 import pytest
 
 from oscnet import activations, layers
 from oscnet.activations import ActivationId
-from oscnet.errors import ConfigError, DataFormatError, DivergenceError
+from oscnet.errors import ConfigError, DivergenceError
 from oscnet.network import (
-    CHECKPOINT_MAGIC,
     Activation,
-    AdamState,
     Conv2d,
     Dense,
     Flatten,
@@ -18,10 +16,7 @@ from oscnet.network import (
     adam_init,
     adam_step,
     build_model,
-    evaluate_loss,
     evaluate_top1,
-    load_checkpoint,
-    save_checkpoint,
     train_epoch,
 )
 
@@ -227,7 +222,8 @@ class TestTrainEpoch:
         loss = train_epoch(m, imgs, labs, state, lr=0.0, rng=np.random.default_rng(1), batch=8)
         for k in before:
             np.testing.assert_array_equal(m.params[k], before[k])
-        assert loss == pytest.approx(evaluate_loss(m, imgs, labs), abs=1e-12)
+        eval_loss, _ = layers.softmax_cross_entropy(m.forward(imgs), labs)
+        assert loss == pytest.approx(eval_loss, abs=1e-12)
 
     def test_single_sample_memorization(self):
         """200 epochs on one sample drive the loss below 0.01."""
@@ -351,64 +347,3 @@ class TestEvaluateTop1:
             m.params[key] *= 3.0
         assert evaluate_top1(m, imgs, labs) == base
 
-
-class TestCheckpoints:
-    def test_roundtrip_preserves_names_shapes_values(self, tmp_path):
-        m = build_model(NetworkConfig(2, A.GCU, seed=9))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, m.params)
-        loaded = load_checkpoint(path)
-        assert list(loaded) == list(m.params)
-        for k in loaded:
-            np.testing.assert_array_equal(loaded[k], m.params[k].astype("<f4"))
-
-    def test_magic_bytes(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
-        assert path.read_bytes()[:4] == CHECKPOINT_MAGIC == b"OSC1"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(path)
-
-    def test_every_truncated_prefix_is_a_data_format_error(self, tmp_path):
-        src = tmp_path / "model.ckpt"
-        save_checkpoint(src, {"w": np.ones((2, 3), dtype=np.float32),
-                              "bias": np.zeros(3, dtype=np.float32)})
-        blob = src.read_bytes()
-        path = tmp_path / "cut.ckpt"
-        for n in range(len(blob)):
-            path.write_bytes(blob[:n])
-            with pytest.raises(DataFormatError) as err:
-                load_checkpoint(path)
-            assert str(path) in str(err.value)
-            assert "byte offset" in str(err.value), n
-
-    def test_trailing_bytes_are_a_data_format_error(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"w": np.ones(4, dtype=np.float32)})
-        size = path.stat().st_size
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(DataFormatError, match=f"byte offset {size}"):
-            load_checkpoint(path)
-
-    def test_corrupt_header_is_a_data_format_error(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
-        good = path.read_bytes()  # magic, count, name length, b"w" at offset 10, ndim, dims
-        for cut, patch in ((10, b"\xff"), (12, b"\xff\xff\xff\xff")):
-            path.write_bytes(good[:cut] + patch + good[cut + len(patch):])
-            with pytest.raises(DataFormatError, match="byte offset"):
-                load_checkpoint(path)
-
-    def test_restored_model_reproduces_logits(self, tmp_path):
-        m = build_model(NetworkConfig(1, A.DSU, seed=3))
-        x = np.random.default_rng(0).random((2, 3, 32, 32), dtype=np.float32)
-        want = m.forward(x)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, m.params)
-        m2 = build_model(NetworkConfig(1, A.DSU, seed=999))
-        m2.params = load_checkpoint(path)
-        np.testing.assert_allclose(m2.forward(x), want, atol=1e-6)
