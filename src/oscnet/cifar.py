@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorruptRecordError, DataFormatError
+from .errors import ConfigError, CorruptRecordError, DataFormatError, require_positive
 
 RECORD_BYTES = 3073
 IMAGE_SHAPE = (3, 32, 32)
@@ -109,8 +109,7 @@ def load_cifar10(data_dir):
 
 def stratified_subset(ds: ImageDataset, n: int, seed: int) -> ImageDataset:
     """Exactly n/10 samples per class, chosen by a seeded shuffle within class."""
-    if n <= 0:
-        raise ConfigError(f"subset size must be positive, got {n}")
+    require_positive("subset size", n)
     if n % NUM_CLASSES:
         raise ConfigError(f"subset size must be divisible by {NUM_CLASSES}, got {n}")
     if n > len(ds):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cifar, properties, xorlab
 from .activations import ActivationId, all_ids
-from .errors import ConfigError, DataFormatError, DivergenceError
+from .errors import ConfigError, DataFormatError, DivergenceError, require_positive
 from .network import NetworkConfig, adam_init, build_model, evaluate_top1, train_epoch
 
 EXIT_OK = 0
@@ -142,8 +142,8 @@ def cmd_bench(args) -> int:
     data_dir = args.data_dir or os.environ.get("OSC_DATA_DIR")
     if not data_dir:
         raise ConfigError("bench needs --data-dir or OSC_DATA_DIR")
-    if args.epochs <= 0 or args.batch <= 0 or args.lr <= 0:
-        raise ConfigError("epochs, batch and lr must be positive")
+    for name in ("epochs", "batch", "lr"):
+        require_positive(name, getattr(args, name))
     depths = [int(x) for x in args.conv_layers.split(",")]
     cells = [NetworkConfig(depth, activation, seed=args.seed)  # checks every depth before any I/O
              for activation in _parse_activations(args.activations) for depth in depths]
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # invalid flag values (TrainSpec, Interval, ...)
+    except ValueError as exc:  # invalid flag values caught in the library (Interval, ...)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package, mapped to CLI exit codes."""
 
+import math
+
 
 class ConfigError(ValueError):
     """Invalid configuration value (bad depth, indivisible subset size, ...)."""
@@ -43,3 +45,9 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, batch_index: int):
         super().__init__(message)
         self.batch_index = batch_index
+
+
+def require_positive(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is finite and > 0 (NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")

@@ -41,6 +41,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.conv_layers not in (1, 2, 3, 4):
             raise ConfigError(f"conv_layers must be 1..4, got {self.conv_layers}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -42,8 +42,8 @@ class Interval:
     step: float = 1e-3
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not (self.lo < self.hi and np.isfinite(self.hi - self.lo)):
+            raise ValueError(f"interval requires finite lo < hi, got [{self.lo}, {self.hi}]")
         if not (0.0 < self.step < self.hi - self.lo):
             raise ValueError(f"step must lie in (0, hi-lo), got {self.step}")
 

@@ -2,8 +2,8 @@
 
 A neuron computes a = g(w.x + b) and classifies by sign(a).  The XOR dataset
 uses the bipolar encoding {-1, +1} for both inputs and labels.  A certificate
-stores explicit (w, b) together with the four per-point margins g(z_i); it is
-valid when all four signs match the labels and every |margin| > 1e-6.
+stores explicit (w, b) and the four per-point margins m_i = g(z_i).  Point i
+is correct when y_i * m_i > 1e-6; the certificate is valid when all four are.
 
 The exhaustive grid search over (w1, w2, b) is the oracle for the XOR
 property; absence of a certificate on the grid is resolution-limited evidence,
@@ -19,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationId, apply, apply_with_grad, evaluate
-from .properties import sign_with_tol
+from .errors import ConfigError, require_positive
+from .properties import Interval, sign_with_tol
 
 MARGIN_TOL = 1e-6
 
 _XOR_INPUTS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
 _XOR_LABELS = (-1.0, 1.0, 1.0, -1.0)
+_X, _Y = np.array(_XOR_INPUTS), np.array(_XOR_LABELS)
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,6 @@ class XorDataset:
 
     def __len__(self) -> int:
         return 4
-
-    def as_arrays(self):
-        return np.array(self.inputs), np.array(self.labels)
 
 
 def xor_dataset() -> XorDataset:
@@ -66,19 +65,22 @@ class XorCertificate:
 
     @property
     def valid(self) -> bool:
-        return self.correct == 4 and min(abs(m) for m in self.margins) > MARGIN_TOL
+        return self.correct == 4
 
     @property
     def min_abs_margin(self) -> float:
         return min(abs(m) for m in self.margins)
 
 
+def _point_correct(label, margin):
+    """Sign matches the +-1 label and |margin| > MARGIN_TOL, in one exact test."""
+    return label * margin > MARGIN_TOL
+
+
 def _certificate_for(id: ActivationId, w1: float, w2: float, b: float) -> XorCertificate:
     neuron = SingleNeuron((float(w1), float(w2)), float(b), ActivationId(id))
     margins = tuple(neuron_forward(neuron, x) for x in _XOR_INPUTS)
-    signs = sign_with_tol(np.array(margins))
-    ok = (signs == np.array(_XOR_LABELS)) & (np.abs(margins) > MARGIN_TOL)
-    return XorCertificate(neuron, margins, int(ok.sum()))
+    return XorCertificate(neuron, margins, int(_point_correct(_Y, np.array(margins)).sum()))
 
 
 def grid_search_certificate(id: ActivationId, bound: float = 5.0,
@@ -89,24 +91,20 @@ def grid_search_certificate(id: ActivationId, bound: float = 5.0,
     minimum |margin|, then first grid index).  Check ``.valid`` to see whether
     the activation exhibits the XOR property at this resolution.
     """
-    if bound <= 0 or resolution <= 0:
-        raise ValueError("bound and resolution must be positive")
-    n = int(round(2.0 * bound / resolution)) + 1
-    vals = np.linspace(-bound, bound, n)
-    w1, w2, b = (g.ravel() for g in np.meshgrid(vals, vals, vals, indexing="ij"))
+    axis = Interval(-bound, bound, resolution).grid()
+    w1, w2, b = axis[:, None, None], axis[None, :, None], axis
 
-    correct = np.zeros(w1.shape, dtype=np.int8)
-    min_abs = np.full(w1.shape, np.inf)
+    correct = np.zeros((axis.size,) * 3, dtype=np.int8)
+    min_abs = np.full(correct.shape, np.inf)
     for (x1, x2), y in zip(_XOR_INPUTS, _XOR_LABELS):
         m = apply(id, w1 * x1 + w2 * x2 + b)
-        s = sign_with_tol(m)
-        correct += ((s == y) & (np.abs(m) > MARGIN_TOL)).astype(np.int8)
+        correct += _point_correct(y, m)
         np.minimum(min_abs, np.abs(m), out=min_abs)
 
-    best_count = int(correct.max())
-    candidates = np.flatnonzero(correct == best_count)
-    winner = candidates[np.argmax(min_abs[candidates])]
-    return _certificate_for(id, float(w1[winner]), float(w2[winner]), float(b[winner]))
+    candidates = np.flatnonzero(correct == correct.max())
+    winner = candidates[np.argmax(min_abs.ravel()[candidates])]
+    i, j, k = np.unravel_index(winner, correct.shape)
+    return _certificate_for(id, axis[i], axis[j], axis[k])
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,10 @@ class TrainSpec:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("learning_rate", "epochs", "restarts", "seed", "init_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"TrainSpec.{name} must be positive")
+        for name in ("learning_rate", "epochs", "restarts", "init_scale"):
+            require_positive(f"TrainSpec.{name}", getattr(self, name))
+        if self.seed < 0:
+            raise ConfigError(f"TrainSpec.seed must be >= 0, got {self.seed}")
 
 
 def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
@@ -128,41 +127,32 @@ def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
 
     Restarts from a fresh uniform[-init_scale, init_scale] init (seeded as
     seed + restart index) until a valid certificate appears or restarts run
-    out.  A restart whose parameters or gradients go non-finite is abandoned.
-    Returns (best certificate found, loss trace of that restart's epochs).
+    out.  A restart whose parameters go non-finite is abandoned; since the
+    learning rate is finite and positive, a non-finite gradient always makes
+    them so.  Returns (best certificate found, loss trace of that restart).
     """
     id = ActivationId(id)
-    X, Y = xor_dataset().as_arrays()
-    best: XorCertificate | None = None
-    best_trace: list = []
+    best, best_trace = None, []
 
-    for restart in range(spec.restarts):
-        rng = np.random.default_rng(spec.seed + restart)
-        theta = rng.uniform(-spec.init_scale, spec.init_scale, size=3)
-        trace = []
-        finite = True
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled below
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+        for restart in range(spec.restarts):
+            rng = np.random.default_rng(spec.seed + restart)
+            theta = rng.uniform(-spec.init_scale, spec.init_scale, size=3)
+            trace = []
             for _ in range(spec.epochs):
-                z = X @ theta[:2] + theta[2]
-                a, da = apply_with_grad(id, z)
-                err = a - Y
+                a, da = apply_with_grad(id, _X @ theta[:2] + theta[2])
+                err = a - _Y
                 trace.append(float(err @ err))
                 gz = 2.0 * err * da
-                grad = np.array([gz @ X[:, 0], gz @ X[:, 1], gz.sum()])
-                if not np.isfinite(grad).all():
-                    finite = False
-                    break
-                theta = theta - spec.learning_rate * grad
+                theta = theta - spec.learning_rate * np.array([gz @ _X[:, 0], gz @ _X[:, 1], gz.sum()])
                 if not np.isfinite(theta).all():
-                    finite = False
                     break
-        if not finite:
-            continue
-        cert = _certificate_for(id, theta[0], theta[1], theta[2])
-        if best is None or (cert.correct, cert.min_abs_margin) > (best.correct, best.min_abs_margin):
-            best, best_trace = cert, trace
-        if cert.valid:
-            break
+            else:
+                cert = _certificate_for(id, theta[0], theta[1], theta[2])
+                if best is None or (cert.correct, cert.min_abs_margin) > (best.correct, best.min_abs_margin):
+                    best, best_trace = cert, trace
+                if cert.valid:
+                    break
 
     if best is None:  # every restart diverged: report the zero neuron honestly
         best = _certificate_for(id, 0.0, 0.0, 0.0)
@@ -175,8 +165,7 @@ def decision_boundary_grid(neuron: SingleNeuron, lo: float = -2.0, hi: float = 2
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     axis = np.linspace(lo, hi, resolution)
-    x1, x2 = np.meshgrid(axis, axis, indexing="ij")
-    z = neuron.w[0] * x1 + neuron.w[1] * x2 + neuron.b
+    z = neuron.w[0] * axis[:, None] + neuron.w[1] * axis + neuron.b
     return sign_with_tol(apply(neuron.activation, z)).astype(np.int8)
 
 

@@ -62,6 +62,19 @@ class TestXor:
         cert = json.loads((tmp_path / "xor_sigmoid_certificate.json").read_text())
         assert not cert["valid"]
 
+    def test_seed_zero_is_valid(self, tmp_path):
+        assert run(["xor", "squ", "--out-dir", tmp_path, "--seed", "0"]) == EXIT_OK
+
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "nan"], ["--init-scale", "inf"], ["--init-scale", "nan"], ["--seed", "-1"],
+        ["--bound", "inf"],
+        ["--resolution", "10"],  # >= 2 * bound: the grid would hold one or two points
+    ])
+    def test_bad_flag_is_a_config_error(self, tmp_path, capsys, flags):
+        assert run(["xor", "tanh", "--out-dir", tmp_path, "--epochs", "20", "--restarts", "1"]
+                   + flags) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_activation_is_a_config_error(self, tmp_path, capsys):
         assert run(["xor", "sigmoid_sine", "--out-dir", tmp_path]) == EXIT_CONFIG
         assert "unknown activation" in capsys.readouterr().err
@@ -126,6 +139,22 @@ class TestBench:
                     "--subset", subset]) == EXIT_CONFIG
         assert "positive" in capsys.readouterr().err
         assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    def test_non_finite_or_non_positive_lr_is_a_config_error(self, synthetic_archive, tmp_path,
+                                                              capsys, lr):
+        out = tmp_path / "bench"
+        assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", out,
+                    "--activations", "relu", "--conv-layers", "1", "--epochs", "1",
+                    "--subset", "50", "--lr", lr]) == EXIT_CONFIG
+        assert "lr must be finite and positive" in capsys.readouterr().err
+        assert not (out / "records.jsonl").exists()
+
+    def test_negative_seed_fails_before_any_output(self, synthetic_archive, tmp_path):
+        assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", tmp_path / "o",
+                    "--activations", "relu", "--conv-layers", "1", "--epochs", "1",
+                    "--subset", "50", "--seed", "-1"]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
     def test_missing_data_dir_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("OSC_DATA_DIR", raising=False)

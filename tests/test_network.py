@@ -78,6 +78,10 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             NetworkConfig(depth, A.RELU)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            NetworkConfig(1, A.RELU, seed=-1)
+
     def test_same_seed_same_init(self):
         a = build_model(NetworkConfig(2, A.RELU, seed=11))
         b = build_model(NetworkConfig(2, A.RELU, seed=11))

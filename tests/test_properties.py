@@ -37,7 +37,11 @@ class TestInterval:
         g = Interval(-1.0, 1.0, 0.5).grid()
         np.testing.assert_allclose(g, [-1, -0.5, 0, 0.5, 1])
 
-    @pytest.mark.parametrize("lo,hi,step", [(1, 0, 0.1), (0, 1, 0), (0, 1, 2)])
+    @pytest.mark.parametrize("lo,hi,step", [
+        (1, 0, 0.1), (0, 1, 0), (0, 1, 2),
+        (-np.inf, 1, 0.1), (0, np.inf, 0.1), (-np.inf, np.inf, 0.1), (np.nan, 1, 0.1),
+        (-1e308, 1e308, 1e307),  # finite ends, but the width overflows
+    ])
     def test_rejects_bad_bounds(self, lo, hi, step):
         with pytest.raises(ValueError):
             Interval(lo, hi, step)

@@ -7,6 +7,7 @@ import pytest
 
 from oscnet import xorlab
 from oscnet.activations import ActivationId, apply, apply_grad, descriptor
+from oscnet.errors import ConfigError
 from oscnet.xorlab import (
     SingleNeuron,
     TrainSpec,
@@ -103,6 +104,27 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_certificate(A.SQU, bound=-1.0)
 
+    @pytest.mark.parametrize("bound,resolution", [(np.inf, 0.1), (5.0, 10.0), (5.0, np.nan)])
+    def test_window_follows_the_interval_rule(self, bound, resolution):
+        with pytest.raises(ValueError):
+            grid_search_certificate(A.TANH, bound, resolution)
+
+    @pytest.mark.parametrize("id,w,b,margins,correct", [
+        # relu is never negative, so its best triple scores only the two +1 points
+        (A.RELU, (0.0, 0.0), 5.0, (5.0, 5.0, 5.0, 5.0), 2),
+        (A.GCU, (-3.8, -3.8), -3.8,
+         (-3.005677305274784, 3.005677305274784, 3.005677305274784, -4.485795876365937), 4),
+        (A.DSU, (-3.5, -2.9), 1.1000000000000005,
+         (-0.1996034871943852, 0.4918851346180976, 1.4022770941171891, -0.4508217379839713), 4),
+        (A.Z_SQ_COS, (-1.4, 5.0), 0.0,
+         (-11.621989075690546, 40.68085427233558, 40.68085427233558, -11.621989075690546), 4),
+    ])
+    def test_golden_winners(self, id, w, b, margins, correct):
+        """Winning triple and margins, bit for bit, as the default grid has always chosen them."""
+        cert = grid_search_certificate(id)
+        assert (cert.neuron.w, cert.neuron.b, cert.margins) == (w, b, margins)
+        assert cert.correct == correct and cert.valid == (correct == 4)
+
 
 class TestTraining:
     def test_squ_learns_with_reference_settings(self):
@@ -155,9 +177,38 @@ class TestTraining:
         _, trace = train_single_neuron(A.GCU, TrainSpec(restarts=1, epochs=50))
         assert len(calls) == len(trace) == 50
 
+    @pytest.mark.parametrize("id,w,b,margins", [
+        (A.SQU, (-0.5584006948287524, 0.5584006948287524), -0.5,
+         (-0.25, 0.9972453439409341, 0.997245343940934, -0.25)),
+        (A.SINE, (1.5450227822760496, 1.5650451411490782), 1.5639847265345872,
+         (-0.9996946461465933, 0.9996399909217786, 0.9999127391975424, -0.9992652528779624)),
+    ])
+    def test_golden_trained_neurons(self, id, w, b, margins):
+        """Default training reproduces these neurons and margins bit for bit."""
+        cert, trace = train_single_neuron(id, TrainSpec())
+        assert (cert.neuron.w, cert.neuron.b, cert.margins, cert.correct) == (w, b, margins, 4)
+        assert len(trace) == TrainSpec().epochs
+
+    def test_every_restart_diverging_yields_the_zero_neuron(self):
+        cert, trace = train_single_neuron(A.SQU, TrainSpec(learning_rate=1e6, restarts=3, epochs=50))
+        assert cert.neuron == SingleNeuron((0.0, 0.0), 0.0, A.SQU)
+        assert cert.margins == (0.0, 0.0, 0.0, 0.0) and cert.correct == 0
+        assert trace == []
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TrainSpec(learning_rate=-0.1)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "init_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainSpec(**{field: value})
+
+    def test_seed_zero_is_valid_and_negative_is_not(self):
+        assert TrainSpec(seed=0).seed == 0
+        with pytest.raises(ConfigError):
+            TrainSpec(seed=-1)
 
 
 class TestBoundaryGrid:
