@@ -175,16 +175,17 @@ def cmd_bench(args) -> int:
 
 def _read_records(path: Path) -> list:
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 row = json.loads(line)
                 rows.append((row["activation"], int(row["conv_layers"]),
                              int(row["epoch"]), float(row["test_top1"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"bad record at line {lineno}: {exc}")
+            except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+                raise DataFormatError(f"{path}: bad record at line {lineno}: {exc}")
     return rows
 
 

@@ -5,11 +5,18 @@ lowered to GEMM through an im2col view.  Every backward returns gradients in
 the same shapes as its forward inputs; cached activations are whatever the
 backward needs, nothing more.  An activation layer caches g'(x), computed in
 the same kernel pass as g(x), so its backward is a single product.
+
+Arrays keep NCHW shapes, but the conv and pool kernels hand on NHWC memory:
+a conv output, a pool output and every input gradient they return is an
+NCHW view of channels-last memory, and elementwise kernels keep that layout.
+So im2col reads its input and the conv backward reads dy without a
+transposing copy.  Any layout is accepted as input; only speed differs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .activations import ActivationId, apply, apply_with_grad
 from .activations import apply_grad  # noqa: F401  perfbench/spans.py hooks layers.apply_grad by name
@@ -20,25 +27,27 @@ PAD = 1
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> (N*H*W, C*9) patch matrix for 3x3/stride-1/pad-1."""
+    """(N,C,H,W) -> (N*H*W, C*9) patch matrix for 3x3/stride-1/pad-1.
+
+    Columns run over (C, ki, kj).  The padded copy is channels-last, so an
+    input held in NHWC memory is read in order."""
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    s = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (n, c, h, w, KERNEL, KERNEL), (s[0], s[1], s[2], s[3], s[2], s[3]))
-    # layout (N,H,W,C,k,k) so each row of the matrix is one output pixel's patch
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n * h * w, c * KERNEL * KERNEL)
+    xp = np.zeros((n, h + 2 * PAD, w + 2 * PAD, c), dtype=x.dtype)
+    xp[:, PAD:PAD + h, PAD:PAD + w] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(1, 2))  # (N,H,W,C,k,k)
+    return windows.reshape(n * h * w, c * KERNEL * KERNEL)
 
 
 def _col2im(dcol: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back to (N,C,H,W)."""
+    """Adjoint of _im2col: scatter-add patch gradients back to (N,C,H,W),
+    returned as a view of NHWC memory."""
     n, c, h, w = shape
-    d = dcol.reshape(n, h, w, c, KERNEL, KERNEL).transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros((n, c, h + 2 * PAD, w + 2 * PAD), dtype=dcol.dtype)
+    d = dcol.reshape(n, h, w, c, KERNEL, KERNEL)
+    dxp = np.zeros((n, h + 2 * PAD, w + 2 * PAD, c), dtype=dcol.dtype)
     for ki in range(KERNEL):
         for kj in range(KERNEL):
-            dxp[:, :, ki:ki + h, kj:kj + w] += d[:, :, :, :, ki, kj]
-    return dxp[:, :, PAD:PAD + h, PAD:PAD + w]
+            dxp[:, ki:ki + h, kj:kj + w] += d[..., ki, kj]
+    return dxp[:, PAD:PAD + h, PAD:PAD + w].transpose(0, 3, 1, 2)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -58,37 +67,63 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return y, (col, x.shape, w)
 
 
-def conv2d_backward(dy: np.ndarray, cache):
+def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
+    """(dx, dw, db); dx is None when need_dx is False (an input layer)."""
     col, x_shape, w = cache
     n, c, h, wd = x_shape
     k = w.shape[0]
     dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * wd, k)
     db = dmat.sum(axis=0)
     dw = (dmat.T @ col).reshape(w.shape)
-    dcol = dmat @ w.reshape(k, -1)
-    dx = _col2im(dcol, x_shape)
-    return dx, dw, db
+    if not need_dx:
+        return None, dw, db
+    return _col2im(dmat @ w.reshape(k, -1), x_shape), dw, db
+
+
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window index k = 2*i + j
 
 
 def maxpool2_forward(x: np.ndarray):
-    """2x2 non-overlapping max pool; ties route to the first window index."""
-    n, c, h, w = x.shape
+    """2x2 non-overlapping max pool; ties route to the first window index.
+
+    The index is the one argmax over the window would give (a NaN counts as
+    maximal), stored as uint8, and y is bitwise x at that index, so a leading
+    -0.0 keeps its sign and a NaN window gives NaN."""
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2 expects a 4-d input (N,C,H,W), got shape {x.shape}")
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(n, c, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=-1)  # argmax returns the first maximal index
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    a, b, c, d = (x[:, :, i::2, j::2] for i, j in _QUADRANTS)
+    y = np.maximum(a, b)
+    np.maximum(y, c, out=y)
+    np.maximum(y, d, out=y)
+    # The first maximal index is the number of leading misses.
+    miss_a, miss_b, miss_c = (~((s == y) | np.isnan(s)) for s in (a, b, c))
+    miss_ab = miss_a & miss_b
+    miss_abc = miss_ab & miss_c
+    arg = miss_a.view(np.uint8) + miss_ab.view(np.uint8) + miss_abc.view(np.uint8)
+    # y equals x[arg] up to the sign of a zero or a NaN: copy that sign over.
+    neg = np.signbit(d)
+    for miss, s in ((miss_c, c), (miss_b, b), (miss_a, a)):
+        neg = (miss & neg) | (~miss & np.signbit(s))
+    np.copysign(y, np.subtract(0.5, neg, dtype=y.dtype), out=y)
     return y, (arg, x.shape)
 
 
 def maxpool2_backward(dy: np.ndarray, cache):
-    arg, x_shape = cache
-    n, c, h, w = x_shape
-    dflat = np.zeros((n, c, h // 2, w // 2, 4), dtype=dy.dtype)
-    np.put_along_axis(dflat, arg[..., None], dy[..., None], axis=-1)
-    return (dflat.reshape(n, c, h // 2, w // 2, 2, 2)
-                 .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w))
+    """Route dy to each window's first maximal index; dx is NHWC memory.
+
+    Each quadrant is dy's bits ANDed with an all-ones or all-zeros mask, so a
+    position that gets no gradient holds +0.0 whatever the sign of dy."""
+    arg, (n, c, h, w) = cache
+    bits = np.dtype(f"i{dy.itemsize}")
+    dx = np.empty((n, h, w, c), dtype=dy.dtype).transpose(0, 3, 1, 2)
+    dy_bits = dy.view(bits)
+    for k, (i, j) in enumerate(_QUADRANTS):
+        keep = np.subtract(0, arg == np.uint8(k), dtype=bits)
+        np.bitwise_and(dy_bits, keep, out=dx[:, :, i::2, j::2].view(bits))
+    return dx
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):

@@ -76,14 +76,18 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
 
 
 class Conv2d:
-    def __init__(self, name: str):
+    """``need_dx=False`` marks an input layer: its backward returns None in
+    place of the image gradient and skips computing it."""
+
+    def __init__(self, name: str, need_dx: bool = True):
         self.w, self.b = f"{name}_w", f"{name}_b"
+        self.need_dx = need_dx
 
     def forward(self, x, params, train, rng, with_cache):
         return layers.conv2d_forward(x, params[self.w], params[self.b])
 
     def backward(self, dy, cache, grads):
-        dx, grads[self.w], grads[self.b] = layers.conv2d_backward(dy, cache)
+        dx, grads[self.w], grads[self.b] = layers.conv2d_backward(dy, cache, self.need_dx)
         return dx
 
 
@@ -189,7 +193,7 @@ def build_model(cfg: NetworkConfig, input_shape: tuple = (3, 32, 32),
     stack: list = []
     for li in range(cfg.conv_layers):
         out = CONV_CHANNELS[li]
-        stack += [affine(Conv2d(f"layer{2 * li}"), (out, c, k, k), c * k * k, out),
+        stack += [affine(Conv2d(f"layer{2 * li}", need_dx=li > 0), (out, c, k, k), c * k * k, out),
                   Activation(cfg.activation), MaxPool2()]
         c, h, w = out, h // 2, w // 2
     flat, top, units = c * h * w, 2 * cfg.conv_layers, PENULTIMATE_UNITS
@@ -231,6 +235,8 @@ def evaluate_top1(model: Model, images: np.ndarray, labels: np.ndarray,
     A sample with any non-finite logit counts as a miss.
     """
     n = images.shape[0]
+    if n == 0:
+        raise ConfigError("evaluate_top1 needs a non-empty dataset")
     hits = 0
     for start in range(0, n, batch):
         logits = model.forward(images[start:start + batch], train=False)

@@ -221,6 +221,14 @@ class TestEmitPlots:
         assert run(["emit-plots", "--records", rec, "--out-dir", tmp_path]) == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_record_is_a_data_error_naming_file_and_line(self, tmp_path, capsys):
+        rec = tmp_path / "r.jsonl"
+        rec.write_bytes(b'{"activation": "relu", "conv_layers": 1, "epoch": 1, "test_top1": 0.1}\n'
+                        b'{"activation": "\xff"}\n')
+        assert run(["emit-plots", "--records", rec, "--out-dir", tmp_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(rec) in err and "line 2" in err
+
     def test_missing_file_is_a_data_error(self, tmp_path):
         assert run(["emit-plots", "--records", tmp_path / "nope.jsonl",
                     "--out-dir", tmp_path]) == EXIT_DATA

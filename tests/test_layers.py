@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscnet import layers
 from oscnet.activations import ActivationId, apply, apply_grad
@@ -26,6 +28,47 @@ def fd_grad(f, x, h=1e-6):
         flat[i] = old
         gflat[i] = (fp - fm) / (2 * h)
     return g
+
+
+def nhwc(a: np.ndarray) -> np.ndarray:
+    """The values of NCHW ``a`` as an NCHW view of NHWC memory."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    bits = np.dtype(f"u{got.itemsize}")
+    np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+# Ties, signed zeros and NaNs of both signs, so every argmax corner occurs.
+POOL_VALUES = [-2.0, -1.0, -0.0, 0.0, 1.0, 1.0, 1.0, math.nan, -math.nan]
+
+
+def _windows(x: np.ndarray) -> np.ndarray:
+    n, c, h, w = x.shape
+    return (x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+             .reshape(n, c, h // 2, w // 2, 4))
+
+
+def reference_maxpool2_forward(x: np.ndarray):
+    """Max pool as argmax over each flattened 2x2 window (first maximum wins,
+    a NaN counts as maximal); y is x at that index."""
+    flat = _windows(x)
+    arg = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], arg
+
+
+def reference_maxpool2_backward(dy: np.ndarray, arg: np.ndarray, x_shape) -> np.ndarray:
+    n, c, h, w = x_shape
+    dflat = np.zeros((n, c, h // 2, w // 2, 4), dtype=dy.dtype)
+    np.put_along_axis(dflat, arg[..., None], dy[..., None], axis=-1)
+    return (dflat.reshape(n, c, h // 2, w // 2, 2, 2)
+                 .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w))
+
+
+def window_has_nan(x: np.ndarray) -> np.ndarray:
+    return np.isnan(_windows(x)).any(axis=-1)
 
 
 class TestConv2d:
@@ -61,6 +104,36 @@ class TestConv2d:
             rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
             assert rel.max() < 1e-4
 
+    @pytest.mark.parametrize("dy_layout", ["nchw", "nhwc"])
+    def test_nhwc_memory_gives_bitwise_equal_results(self, dy_layout):
+        """The same values held in NCHW or NHWC memory give the same bits."""
+        x = RNG.standard_normal((2, 3, 5, 6))
+        w = RNG.standard_normal((4, 3, 3, 3))
+        b = RNG.standard_normal(4)
+        dy = RNG.standard_normal((2, 4, 5, 6))
+        if dy_layout == "nhwc":
+            dy = nhwc(dy)
+        y0, cache0 = layers.conv2d_forward(x, w, b)
+        y1, cache1 = layers.conv2d_forward(nhwc(x), w, b)
+        assert_bitwise(y1, y0)
+        grads0 = layers.conv2d_backward(dy, cache0)
+        grads1 = layers.conv2d_backward(dy, cache1)
+        for got, want in zip(grads1, grads0):
+            assert_bitwise(got, want)
+        dx, dw, db = layers.conv2d_backward(dy, cache1, need_dx=False)
+        assert dx is None
+        assert_bitwise(dw, grads0[1])
+        assert_bitwise(db, grads0[2])
+
+    def test_output_and_input_gradient_keep_channels_innermost(self):
+        """y and dx are NCHW views of NHWC memory, which the next layer reads
+        without a transposing copy."""
+        y, cache = layers.conv2d_forward(RNG.standard_normal((2, 3, 4, 6)),
+                                         RNG.standard_normal((5, 3, 3, 3)), np.zeros(5))
+        dx, _, _ = layers.conv2d_backward(nhwc(np.ones_like(y)), cache)
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert dx.strides[1] == dx.itemsize
+
     def test_shape_errors_list_expected_vs_actual(self):
         with pytest.raises(ShapeError, match=r"\(K,3,3,3\)"):
             layers.conv2d_forward(np.zeros((1, 3, 8, 8)), np.zeros((4, 2, 3, 3)), np.zeros(4))
@@ -92,6 +165,45 @@ class TestMaxPool:
     def test_odd_spatial_dims_rejected(self):
         with pytest.raises(ShapeError, match="even"):
             layers.maxpool2_forward(np.zeros((1, 1, 5, 4)))
+
+    def test_non_4d_input_rejected(self):
+        with pytest.raises(ShapeError, match="4-d"):
+            layers.maxpool2_forward(np.zeros((1, 4, 4)))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_argmax_reference(self, data):
+        """Bitwise y and dx, and the same index, as argmax over each window,
+        for both dtypes and both memory layouts, on values with ties, signed
+        zeros and NaNs of either sign."""
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        n, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        h, w = 2 * data.draw(st.integers(1, 3)), 2 * data.draw(st.integers(1, 3))
+
+        def array(shape, values):
+            flat = data.draw(st.lists(st.sampled_from(values), min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))
+            a = np.array(flat, dtype=dtype).reshape(shape)
+            return nhwc(a) if data.draw(st.booleans(), label="nhwc") else a
+
+        x = array((n, c, h, w), POOL_VALUES)
+        dy = array((n, c, h // 2, w // 2), POOL_VALUES + [-3.5, 2.25])
+        y, cache = layers.maxpool2_forward(x)
+        want_y, want_arg = reference_maxpool2_forward(x)
+        arg = cache[0]
+        assert arg.dtype == np.uint8
+        np.testing.assert_array_equal(arg, want_arg)
+        assert_bitwise(y, want_y)
+        assert np.isnan(y[window_has_nan(x)]).all()
+        assert_bitwise(layers.maxpool2_backward(dy, cache),
+                       reference_maxpool2_backward(dy, want_arg, x.shape))
+
+    def test_nhwc_memory_stays_nhwc(self):
+        x = nhwc(RNG.standard_normal((2, 3, 4, 6)))
+        y, cache = layers.maxpool2_forward(x)
+        dx = layers.maxpool2_backward(np.ones_like(y), cache)
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert dx.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 class TestDense:

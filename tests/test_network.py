@@ -1,5 +1,7 @@
 """Model assembly, layer kernel calls, Adam, training loop, determinism, evaluation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,10 @@ class TestBuildModel:
         assert list(m.params) == ["layer0_w", "layer0_b", "layer2_w", "layer2_b",
                                   "layer5_w", "layer5_b", "layer7_w", "layer7_b"]
         assert {v.dtype for v in m.params.values()} == {np.dtype(np.float32)}
+
+    def test_only_the_input_conv_skips_its_input_gradient(self):
+        m = build_model(NetworkConfig(3, A.RELU, seed=0))
+        assert [s.need_dx for s in m.layers if isinstance(s, Conv2d)] == [False, True, True]
 
     def test_channel_progression(self):
         m = build_model(NetworkConfig(3, A.TANH, seed=0))
@@ -155,6 +161,48 @@ class TestKernelCalls:
         assert {k: v for k, v in calls.items() if v} == {
             "conv2d_forward": 2, "maxpool2_forward": 2, "activation_forward": 3,
             "dense_forward": 2, "dropout_forward": 1}
+
+
+def training_digest(act: ActivationId, depth: int) -> str:
+    """SHA-256 over two seeded Adam steps on 64 synthetic images: both step
+    losses, the final params, one `loss_and_grads` (loss and every gradient)
+    and the eval logits, all as raw bytes."""
+    rng = np.random.default_rng(8)
+    imgs = rng.random((64, 3, 32, 32), dtype=np.float32)
+    labs = rng.integers(0, 10, 64)
+    m = build_model(NetworkConfig(depth, act, seed=8))
+    state = adam_init(m.params)
+    tr = np.random.default_rng(9)
+    h = hashlib.sha256()
+    for _ in range(2):
+        h.update(np.float64(train_epoch(m, imgs, labs, state, 2e-4, tr, batch=64)).tobytes())
+    for name, p in m.params.items():
+        h.update(name.encode())
+        h.update(p.tobytes())
+    loss, grads = m.loss_and_grads(imgs, labs, rng=tr)
+    h.update(np.float64(loss).tobytes())
+    for name in sorted(grads):
+        h.update(name.encode())
+        h.update(grads[name].tobytes())
+    h.update(m.forward(imgs).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64")
+class TestGoldenTraining:
+    """Seeded float32 training is pinned bit for bit.  A kernel change that
+    keeps these digests computes exactly what the code that recorded them did;
+    re-record them only for a change meant to alter the arithmetic."""
+
+    @pytest.mark.parametrize("act, depth, want", [
+        (A.RELU, 2, "6d964ed05094fc74aeed6ccdf456ca1f24c9cd4aa2d0b8d7743fe159b3da33c7"),
+        (A.SQU, 4, "ef19b22e22804a318ce5684b58b9f8a6d81580943ffdf19dc7f8d45769c3cf8f"),
+        (A.DSU, 2, "b3c788137019a1ca0e718fdaa45fa369e3c0b1085df0f6023d3efae7f81e16aa"),
+        (A.GELU, 2, "4d9c79c33ac2f69709a70ca670d604e3fe5546beeddd23b54167ea3a366a9022"),
+    ])
+    def test_two_steps_match_the_recorded_digest(self, act, depth, want):
+        assert training_digest(act, depth) == want
 
 
 class TestAdam:
@@ -341,6 +389,10 @@ class TestEvaluateTop1:
         m.params["layer2_b"][:] = 0.0
         m.params["layer2_b"][3] = np.inf  # argmax 3, but the row is not finite
         assert evaluate_top1(m, imgs, np.full(6, 3)) == 0.0
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ConfigError, match="non-empty"):
+            evaluate_top1(tiny_dense_model(), np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=int))
 
     def test_invariant_under_logit_rescaling(self):
         m = tiny_dense_model(seed=1)
