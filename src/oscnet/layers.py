@@ -1,10 +1,17 @@
 """Functional NN layers: forward/backward pairs over numpy arrays.
 
 Convolutions are 3x3, stride 1, zero-padded to preserve spatial size, and are
-lowered to GEMM through an im2col view.  Every backward returns gradients in
-the same shapes as its forward inputs; cached activations are whatever the
-backward needs, nothing more.  An activation layer caches g'(x), computed in
-the same kernel pass as g(x), so its backward is a single product.
+lowered to GEMM one block of whole images at a time.  A block holds as many
+images as fit their patch matrix into BLOCK_BYTES, so the columns are still in
+cache when the GEMM reads them.  Patch columns run over (ki, kj, C), matching
+the weight matrix w.transpose(0, 2, 3, 1).reshape(K, 9C), so each im2col copy
+moves runs of contiguous channels.  The forward caches the padded NHWC input,
+not the patch matrix; the backward rebuilds each block's columns for dW and
+scatters that block's column gradient into the padded dx.  Every backward
+returns gradients in the same shapes as its forward inputs; cached
+activations are whatever the backward needs, nothing more.  An activation
+layer caches g'(x), computed in the same kernel pass as g(x), so its backward
+is a single product.
 
 Arrays keep NCHW shapes, but the conv and pool kernels hand on NHWC memory:
 a conv output, a pool output and every input gradient they return is an
@@ -24,34 +31,66 @@ from .errors import LabelError, ShapeError
 
 KERNEL = 3
 PAD = 1
+# Patch-matrix bytes per image block: one block's columns stay in cache
+# between the im2col copy and its GEMM.  On a 2-core x86-64 box (one BLAS
+# thread), budgets of 0.5 to 4 MiB gave relu CNN training and eval rates
+# within about 10 % of each other; none won at every depth.
+BLOCK_BYTES = 1 << 20
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> (N*H*W, C*9) patch matrix for 3x3/stride-1/pad-1.
-
-    Columns run over (C, ki, kj).  The padded copy is channels-last, so an
-    input held in NHWC memory is read in order."""
+def _pad(x: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) -> zero-padded (N,H+2,W+2,C) channels-last copy."""
     n, c, h, w = x.shape
     xp = np.zeros((n, h + 2 * PAD, w + 2 * PAD, c), dtype=x.dtype)
     xp[:, PAD:PAD + h, PAD:PAD + w] = x.transpose(0, 2, 3, 1)
-    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(1, 2))  # (N,H,W,C,k,k)
-    return windows.reshape(n * h * w, c * KERNEL * KERNEL)
+    return xp
 
 
-def _col2im(dcol: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back to (N,C,H,W),
-    returned as a view of NHWC memory."""
-    n, c, h, w = shape
-    d = dcol.reshape(n, h, w, c, KERNEL, KERNEL)
-    dxp = np.zeros((n, h + 2 * PAD, w + 2 * PAD, c), dtype=dcol.dtype)
+def _image_blocks(xp: np.ndarray, dtype):
+    """Slices of whole images whose patch matrix fits BLOCK_BYTES (at least
+    one image each), and one scratch buffer sized for the largest block."""
+    n, hp, wp, c = xp.shape
+    h, w = hp - 2 * PAD, wp - 2 * PAD
+    per_image = h * w * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
+    step = max(1, min(n, BLOCK_BYTES // per_image))
+    scratch = np.empty((step, h, w, KERNEL, KERNEL, c), dtype=dtype)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)], scratch
+
+
+def _im2col(xp: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Patch matrix (nb*H*W, 9C) of the padded block xp (nb,H+2,W+2,C), built
+    in the head of ``scratch``.  Columns run over (ki, kj, C): one copy per
+    kernel row, each moving 3C contiguous values per output pixel."""
+    nb, hp, wp, c = xp.shape
+    h, w = hp - 2 * PAD, wp - 2 * PAD
+    col = scratch[:nb]
+    for ki in range(KERNEL):
+        rows = sliding_window_view(xp[:, ki:ki + h], KERNEL, axis=2)  # (nb,H,W,C,kj)
+        col[:, :, :, ki] = rows.swapaxes(-1, -2)
+    return col.reshape(nb * h * w, KERNEL * KERNEL * c)
+
+
+def _col2im(dcol: np.ndarray, dxp: np.ndarray) -> None:
+    """Adjoint of _im2col: scatter-add the (ki, kj, C) patch gradients dcol
+    into the padded block dxp (nb,H+2,W+2,C)."""
+    nb, hp, wp, c = dxp.shape
+    h, w = hp - 2 * PAD, wp - 2 * PAD
+    d = dcol.reshape(nb, h, w, KERNEL, KERNEL, c)
     for ki in range(KERNEL):
         for kj in range(KERNEL):
-            dxp[:, ki:ki + h, kj:kj + w] += d[..., ki, kj]
-    return dxp[:, PAD:PAD + h, PAD:PAD + w].transpose(0, 3, 1, 2)
+            dxp[:, ki:ki + h, kj:kj + w] += d[:, :, :, ki, kj]
+
+
+def _weight_matrix(w: np.ndarray) -> np.ndarray:
+    """(K,C,3,3) -> (K, 9C) with columns in the patch order (ki, kj, C)."""
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Cross-correlation. x: (N,C,H,W), w: (K,C,3,3), b: (K,) -> (N,K,H,W)."""
+    """Cross-correlation. x: (N,C,H,W), w: (K,C,3,3), b: (K,) -> (N,K,H,W).
+
+    The cache is the padded NHWC input and w; backward rebuilds the patch
+    columns from it."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects a 4-d input (N,C,H,W), got shape {x.shape}")
     if w.ndim != 4 or w.shape[1:] != (x.shape[1], KERNEL, KERNEL):
@@ -59,25 +98,42 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
             f"conv2d weights must be (K,{x.shape[1]},{KERNEL},{KERNEL}), got {w.shape}")
     if b.shape != (w.shape[0],):
         raise ShapeError(f"conv2d bias must be ({w.shape[0]},), got {b.shape}")
-    n, c, h, wd = x.shape
+    n, _, h, wd = x.shape
     k = w.shape[0]
-    col = _im2col(x)
-    out = col @ w.reshape(k, -1).T + b
-    y = out.reshape(n, h, wd, k).transpose(0, 3, 1, 2)
-    return y, (col, x.shape, w)
+    xp = _pad(x)
+    wmat_t = _weight_matrix(w).T
+    y = np.empty((n, h, wd, k), dtype=np.result_type(x, w, b))
+    blocks, scratch = _image_blocks(xp, x.dtype)
+    for blk in blocks:
+        y_blk = y[blk].reshape(-1, k)
+        np.matmul(_im2col(xp[blk], scratch), wmat_t, out=y_blk)
+        y_blk += b
+    return y.transpose(0, 3, 1, 2), (xp, w)
 
 
 def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
-    """(dx, dw, db); dx is None when need_dx is False (an input layer)."""
-    col, x_shape, w = cache
-    n, c, h, wd = x_shape
-    k = w.shape[0]
-    dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * wd, k)
-    db = dmat.sum(axis=0)
-    dw = (dmat.T @ col).reshape(w.shape)
+    """(dx, dw, db); dx is None when need_dx is False (an input layer).
+
+    dx is a view of NHWC memory; dw is C-contiguous (K,C,3,3)."""
+    xp, w = cache
+    k, c = w.shape[:2]
+    dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1))  # (N,H,W,K)
+    db = dmat.reshape(-1, k).sum(axis=0)
+    dtype = np.result_type(dy, xp, w)
+    wmat = _weight_matrix(w)
+    dwmat = np.zeros(wmat.shape, dtype=dtype)
+    dxp = np.zeros(xp.shape, dtype=dtype) if need_dx else None
+    blocks, scratch = _image_blocks(xp, dtype)
+    for blk in blocks:
+        d = dmat[blk].reshape(-1, k)
+        col = _im2col(xp[blk], scratch)
+        dwmat += d.T @ col
+        if need_dx:
+            _col2im(np.matmul(d, wmat, out=col), dxp[blk])
+    dw = np.ascontiguousarray(dwmat.reshape(k, KERNEL, KERNEL, c).transpose(0, 3, 1, 2))
     if not need_dx:
         return None, dw, db
-    return _col2im(dmat @ w.reshape(k, -1), x_shape), dw, db
+    return dxp[:, PAD:-PAD, PAD:-PAD].transpose(0, 3, 1, 2), dw, db
 
 
 _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window index k = 2*i + j

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import layers
 from .activations import ActivationId
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, ShapeError
 
 CONV_CHANNELS = (32, 64, 128, 128)
 PENULTIMATE_UNITS = 64
@@ -155,6 +155,7 @@ class Model:
             x, cache = layer.forward(x, self.params, train, rng, with_caches)
             if with_caches:
                 caches.append(cache)
+            del cache  # without caches, each is freed before the next layer runs
         return (x, caches) if with_caches else x
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray,
@@ -203,6 +204,17 @@ def build_model(cfg: NetworkConfig, input_shape: tuple = (3, 32, 32),
     return Model(stack, params)
 
 
+def _dataset_size(images: np.ndarray, labels: np.ndarray, caller: str) -> int:
+    """The number of samples; raises before any work on an empty set or on
+    a label count that differs from the image count."""
+    n = images.shape[0]
+    if n == 0:
+        raise ConfigError(f"{caller} needs a non-empty dataset")
+    if len(labels) != n:
+        raise ShapeError(f"{caller} got {len(labels)} labels for {n} images")
+    return n
+
+
 def train_epoch(model: Model, images: np.ndarray, labels: np.ndarray,
                 state: AdamState, lr: float, rng: np.random.Generator,
                 batch: int = 64) -> float:
@@ -211,9 +223,7 @@ def train_epoch(model: Model, images: np.ndarray, labels: np.ndarray,
     Returns the sample-weighted mean training loss.  Raises DivergenceError
     naming the batch index if any batch loss goes non-finite.
     """
-    n = images.shape[0]
-    if n == 0:
-        raise ConfigError("train_epoch needs a non-empty dataset")
+    n = _dataset_size(images, labels, "train_epoch")
     order = rng.permutation(n)
     total = 0.0
     for bi, start in enumerate(range(0, n, batch)):
@@ -234,9 +244,7 @@ def evaluate_top1(model: Model, images: np.ndarray, labels: np.ndarray,
     Ties break to the lowest class index (argmax returns the first maximum).
     A sample with any non-finite logit counts as a miss.
     """
-    n = images.shape[0]
-    if n == 0:
-        raise ConfigError("evaluate_top1 needs a non-empty dataset")
+    n = _dataset_size(images, labels, "evaluate_top1")
     hits = 0
     for start in range(0, n, batch):
         logits = model.forward(images[start:start + batch], train=False)

@@ -1,11 +1,14 @@
 """Layer forward/backward pairs checked against finite differences."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oscnet import layers
 from oscnet.activations import ActivationId, apply, apply_grad
@@ -71,6 +74,67 @@ def window_has_nan(x: np.ndarray) -> np.ndarray:
     return np.isnan(_windows(x)).any(axis=-1)
 
 
+def reference_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Conv as one GEMM over the whole-batch patch matrix with columns in
+    (C, ki, kj) order; the cache holds that matrix.  Same signature and
+    cache contract as `layers.conv2d_forward`, so it can stand in for it."""
+    n, c, h, wd = x.shape
+    k = w.shape[0]
+    xp = np.zeros((n, h + 2, wd + 2, c), dtype=x.dtype)
+    xp[:, 1:1 + h, 1:1 + wd] = x.transpose(0, 2, 3, 1)
+    col = sliding_window_view(xp, (3, 3), axis=(1, 2)).reshape(n * h * wd, c * 9)
+    y = (col @ w.reshape(k, -1).T + b).reshape(n, h, wd, k).transpose(0, 3, 1, 2)
+    return y, (col, x.shape, w)
+
+
+def reference_conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
+    """Backward of `reference_conv2d_forward`: dW from the cached patch
+    matrix and dX scattered back from one whole-batch column gradient."""
+    col, (n, c, h, wd), w = cache
+    k = w.shape[0]
+    dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * wd, k)
+    dw, db = (dmat.T @ col).reshape(w.shape), dmat.sum(axis=0)
+    if not need_dx:
+        return None, dw, db
+    d = (dmat @ w.reshape(k, -1)).reshape(n, h, wd, c, 3, 3)
+    dxp = np.zeros((n, h + 2, wd + 2, c), dtype=d.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            dxp[:, ki:ki + h, kj:kj + wd] += d[..., ki, kj]
+    return dxp[:, 1:1 + h, 1:1 + wd].transpose(0, 3, 1, 2), dw, db
+
+
+def assert_conv_close(got, want, scale, dtype):
+    """|got - want| within a dtype tolerance of ``scale``, the same sum taken
+    over absolute values, which bounds the rounding of any summation order:
+    1e-12 relative in float64, 4 ulps in float32."""
+    tol = 1e-12 if np.dtype(dtype) == np.float64 else 4 * np.finfo(np.float32).eps
+    assert got.dtype == np.dtype(dtype) and got.shape == want.shape
+    excess = np.abs(got.astype(np.float64) - want) - tol * scale
+    assert excess.max() <= 0, f"worst error exceeds the tolerance by {excess.max():.3g}"
+
+
+def check_conv_against_reference(x, w, b, dy, need_dx):
+    """y, dx, dw and db of `layers` against the single-GEMM reference, with
+    the error scale taken from the reference run on |x|, |w|, |b| and |dy|."""
+    dtype = x.dtype
+    y, cache = layers.conv2d_forward(x, w, b)
+    dx, dw, db = layers.conv2d_backward(dy, cache, need_dx)
+    want_y, want_cache = reference_conv2d_forward(x, w, b)
+    want_dx, want_dw, want_db = reference_conv2d_backward(dy, want_cache)
+    abs64 = [np.abs(a).astype(np.float64) for a in (x, w, b, dy)]
+    scale_y, scale_cache = reference_conv2d_forward(*abs64[:3])
+    scale_dx, scale_dw, scale_db = reference_conv2d_backward(abs64[3], scale_cache)
+    assert_conv_close(y, want_y, scale_y, dtype)
+    assert_conv_close(dw, want_dw, scale_dw, dtype)
+    assert_conv_close(db, want_db, scale_db, dtype)
+    assert dw.flags.c_contiguous
+    if need_dx:
+        assert_conv_close(dx, want_dx, scale_dx, dtype)
+    else:
+        assert dx is None
+
+
 class TestConv2d:
     def test_all_ones_kernel_sums_the_window(self):
         x = np.ones((1, 1, 3, 3))
@@ -133,6 +197,62 @@ class TestConv2d:
         dx, _, _ = layers.conv2d_backward(nhwc(np.ones_like(y)), cache)
         assert y.transpose(0, 2, 3, 1).flags.c_contiguous
         assert dx.strides[1] == dx.itemsize
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blocked_conv_matches_the_single_gemm_reference(self, data):
+        """Any block size (one image per block up to the whole batch, dividing
+        the batch or not), both dtypes, NCHW or NHWC memory for x and dy, with
+        and without the input gradient."""
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        n, c, k = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)),
+                   data.draw(st.integers(1, 5)))
+        h, w = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+
+        def array(shape, layout=False):
+            a = rng.standard_normal(shape).astype(dtype)
+            return nhwc(a) if layout and data.draw(st.booleans(), label="nhwc") else a
+
+        x, dy = array((n, c, h, w), True), array((n, k, h, w), True)
+        wt, b = array((k, c, 3, 3)), array(k)
+        per_image = h * w * 9 * c * np.dtype(dtype).itemsize
+        images = data.draw(st.integers(1, n + 1), label="images per block")
+        budget = images * per_image + data.draw(st.integers(0, per_image - 1))
+        with mock.patch.object(layers, "BLOCK_BYTES", budget):
+            check_conv_against_reference(x, wt, b, dy, data.draw(st.booleans(), label="need_dx"))
+
+    def test_default_block_size_matches_the_reference(self):
+        """(10,32,16,16) float32 splits into blocks of 3 images with 1 left
+        over under the default budget."""
+        rng = np.random.default_rng(5)
+        x = nhwc(rng.standard_normal((10, 32, 16, 16)).astype(np.float32))
+        w = rng.standard_normal((64, 32, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(64).astype(np.float32)
+        dy = nhwc(rng.standard_normal((10, 64, 16, 16)).astype(np.float32))
+        assert layers.BLOCK_BYTES // (16 * 16 * 9 * 32 * 4) == 3
+        check_conv_against_reference(x, w, b, dy, need_dx=True)
+
+    def test_forward_never_holds_the_whole_patch_matrix(self):
+        """One 250-image eval batch at (32,16,16) -> 64 channels: the whole-
+        batch float32 patch matrix would take 73.7 MB.  The forward's peak
+        stays well below it and the cache holds no patch columns."""
+        rng = np.random.default_rng(6)
+        n, c, h, w = 250, 32, 16, 16
+        x = nhwc(rng.standard_normal((n, c, h, w)).astype(np.float32))
+        wt = rng.standard_normal((64, c, 3, 3)).astype(np.float32)
+        b = np.zeros(64, dtype=np.float32)
+        patch_bytes = n * h * w * 9 * c * 4
+        tracemalloc.start()
+        try:
+            _, cache = layers.conv2d_forward(x, wt, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_bytes / 2, f"peak {peak / 1e6:.1f} MB"
+        arrays = [a for a in cache if isinstance(a, np.ndarray)]
+        assert all(a.shape[-1] != 9 * c for a in arrays)
+        assert sum(a.nbytes for a in arrays) < patch_bytes / 4
 
     def test_shape_errors_list_expected_vs_actual(self):
         with pytest.raises(ShapeError, match=r"\(K,3,3,3\)"):

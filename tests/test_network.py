@@ -7,7 +7,7 @@ import pytest
 
 from oscnet import activations, layers
 from oscnet.activations import ActivationId
-from oscnet.errors import ConfigError, DivergenceError
+from oscnet.errors import ConfigError, DivergenceError, ShapeError
 from oscnet.network import (
     Activation,
     Conv2d,
@@ -21,6 +21,7 @@ from oscnet.network import (
     evaluate_top1,
     train_epoch,
 )
+from test_layers import reference_conv2d_backward, reference_conv2d_forward
 
 A = ActivationId
 
@@ -188,19 +189,48 @@ def training_digest(act: ActivationId, depth: int) -> str:
     return h.hexdigest()
 
 
+class TestBlockedConvOracle:
+    @pytest.mark.parametrize("act", [A.RELU, A.GCU])
+    def test_two_adam_steps_match_the_single_gemm_reference(self, act, monkeypatch):
+        """float64 training with the blocked conv agrees with the whole-batch
+        (C, ki, kj) GEMM it replaced: the arithmetic differs only in summation
+        order, so losses and parameters agree far below float32 resolution."""
+        def two_steps():
+            rng = np.random.default_rng(8)
+            imgs = rng.random((16, 3, 32, 32))
+            labs = rng.integers(0, 10, 16)
+            m = build_model(NetworkConfig(2, act, seed=8), dtype=np.float64)
+            state = adam_init(m.params)
+            tr = np.random.default_rng(9)
+            losses = [train_epoch(m, imgs, labs, state, 2e-4, tr, batch=16) for _ in range(2)]
+            return losses, m.params
+
+        got_losses, got = two_steps()
+        monkeypatch.setattr(layers, "conv2d_forward", reference_conv2d_forward)
+        monkeypatch.setattr(layers, "conv2d_backward", reference_conv2d_backward)
+        want_losses, want = two_steps()
+        np.testing.assert_allclose(got_losses, want_losses, rtol=1e-10, atol=0)
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10,
+                                       atol=1e-10 * np.abs(want[name]).max(), err_msg=name)
+        assert any(not np.array_equal(got[name], want[name]) for name in want)
+
+
 @pytest.mark.skipif(np.__version__ != "2.4.6",
                     reason="digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64")
 class TestGoldenTraining:
     """Seeded float32 training is pinned bit for bit.  A kernel change that
     keeps these digests computes exactly what the code that recorded them did;
-    re-record them only for a change meant to alter the arithmetic."""
+    re-record them only for a change meant to alter the arithmetic.  They were
+    last re-recorded when the conv moved to blocked (ki, kj, C) patch columns,
+    a change of summation order that TestBlockedConvOracle checks in float64."""
 
     @pytest.mark.parametrize("act, depth, want", [
-        (A.RELU, 2, "6d964ed05094fc74aeed6ccdf456ca1f24c9cd4aa2d0b8d7743fe159b3da33c7"),
-        (A.SQU, 4, "ef19b22e22804a318ce5684b58b9f8a6d81580943ffdf19dc7f8d45769c3cf8f"),
-        (A.DSU, 2, "b3c788137019a1ca0e718fdaa45fa369e3c0b1085df0f6023d3efae7f81e16aa"),
-        (A.GELU, 2, "4d9c79c33ac2f69709a70ca670d604e3fe5546beeddd23b54167ea3a366a9022"),
-    ])
+        (A.RELU, 2, "3f673881fc8cb00b192f6c2f1d6988fbc70f18c15f160915219cd0b02b0d403d"),
+        (A.SQU, 4, "d979332172cd145b89a54a762142109e0f317f5fce63e22b16ce03838cbf4a00"),
+        (A.DSU, 2, "97101f9f0786d080791e4586866b26514bd83ceade17ce51be34a9011eaaa902"),
+        (A.GELU, 2, "0c7794687c82325cdab7a885c9e06594a1bf034b74c3f15ade5cc3ac1b469baa"),
+    ], ids=["relu-2", "squ-4", "dsu-2", "gelu-2"])
     def test_two_steps_match_the_recorded_digest(self, act, depth, want):
         assert training_digest(act, depth) == want
 
@@ -319,6 +349,16 @@ class TestTrainEpoch:
             train_epoch(m, np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=int),
                         adam_init(m.params), 1e-3, np.random.default_rng(0))
 
+    def test_label_count_mismatch_rejected_before_any_step(self, monkeypatch):
+        imgs, labs = self._data(n=10)
+        m = tiny_dense_model()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a step ran on mismatched labels")
+        monkeypatch.setattr(Model, "loss_and_grads", forbidden)
+        with pytest.raises(ShapeError, match=r"9 labels for 10 images"):
+            train_epoch(m, imgs, labs[:9], adam_init(m.params), 1e-3, np.random.default_rng(0))
+
     def test_loss_nonincreasing_on_fixed_subset(self):
         """Five epochs on 64 fixed samples: mean loss trends down for both a
         rectifier and an oscillatory unit at lr 1e-4."""
@@ -393,6 +433,16 @@ class TestEvaluateTop1:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
             evaluate_top1(tiny_dense_model(), np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=int))
+
+    def test_label_count_mismatch_rejected_before_any_forward(self, monkeypatch):
+        m = tiny_dense_model()
+        imgs = np.random.default_rng(2).random((6, 3, 8, 8))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a forward ran on mismatched labels")
+        monkeypatch.setattr(Model, "forward", forbidden)
+        with pytest.raises(ShapeError, match=r"7 labels for 6 images"):
+            evaluate_top1(m, imgs, np.zeros(7, dtype=np.int64))
 
     def test_invariant_under_logit_rescaling(self):
         m = tiny_dense_model(seed=1)
