@@ -11,7 +11,8 @@ scatters that block's column gradient into the padded dx.  Every backward
 returns gradients in the same shapes as its forward inputs; cached
 activations are whatever the backward needs, nothing more.  An activation
 layer caches g'(x), computed in the same kernel pass as g(x), so its backward
-is a single product.
+is a single product, written into that cache.  A backward consumes its cache:
+call it once per forward.
 
 Arrays keep NCHW shapes, but the conv and pool kernels hand on NHWC memory:
 a conv output, a pool output and every input gradient they return is an
@@ -204,7 +205,8 @@ def activation_forward(x: np.ndarray, id: ActivationId, with_cache: bool = True)
 
 
 def activation_backward(dy: np.ndarray, cache):
-    return dy * cache
+    """dy * g'(x), computed in place in the cache g'(x), which it returns."""
+    return np.multiply(dy, cache, out=cache)
 
 
 def dropout_forward(x: np.ndarray, rate: float, train: bool, rng: np.random.Generator | None = None):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oscnet import activations
 from oscnet.activations import (
     COUNTABLY_INFINITE,
     ActivationId,
@@ -213,3 +215,96 @@ class TestArrayScalarConsistency:
         finally:
             tracemalloc.stop()
         assert peak <= 5.2 * z.nbytes, f"{id}: peak {peak / z.nbytes:.2f}x the input"
+
+
+# Points where kernels switch formula or have kinks: 0, +-1, +-pi.
+_EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, math.pi, -math.pi)
+
+
+@st.composite
+def _laid_out_inputs(draw):
+    """An input of some dtype in one of the memory layouts kernels may see."""
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int64]))
+    layout = draw(st.sampled_from(["0-d", "C", "NHWC", "reversed", "strided", "broadcast"]))
+    if dtype == np.int64:
+        elements = st.integers(-12, 12)
+    else:
+        elements = st.floats(-12.0, 12.0, width=np.dtype(dtype).itemsize * 8) | st.sampled_from(_EDGE_VALUES)
+    dims = st.integers(1, 4)
+    if layout == "0-d":
+        return draw(hnp.arrays(dtype, (), elements=elements))
+    shape = tuple(draw(dims) for _ in range(4))
+    if layout == "broadcast":  # zero strides on the first and third axes
+        small = draw(hnp.arrays(dtype, (1, shape[1], 1, shape[3]), elements=elements))
+        return np.broadcast_to(small, shape)
+    if layout == "strided":
+        base = draw(hnp.arrays(dtype, (2 * shape[0], shape[1], 3 * shape[2], shape[3]), elements=elements))
+        return base[::2, :, ::3]
+    base = draw(hnp.arrays(dtype, shape, elements=elements))
+    if layout == "NHWC":
+        return base.transpose(0, 3, 1, 2)
+    if layout == "reversed":
+        return base[::-1, :, ::-1]
+    return base
+
+
+def _layout(a):
+    """Strides of the axes longer than 1; a length-1 axis has no layout."""
+    return tuple(s for s, n in zip(a.strides, a.shape) if n > 1)
+
+
+def _all_entry_points(id, z, chunk_bytes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(activations, "CHUNK_BYTES", chunk_bytes)
+        return (apply(id, z), apply_grad(id, z), *apply_with_grad(id, z))
+
+
+class TestChunkedEvaluation:
+    @pytest.mark.parametrize("id", all_ids())
+    @given(z=_laid_out_inputs(), items=st.integers(1, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_equals_single_pass(self, id, z, items):
+        """Chunks of a few elements, so chunk edges and a remainder fall
+        mid-array: values bitwise equal, shape, dtype and memory layout kept."""
+        itemsize = 8 if z.dtype.kind != "f" else z.itemsize
+        chunked = _all_entry_points(id, z, items * itemsize)
+        whole = _all_entry_points(id, z, 1 << 62)
+        for got, want in zip(chunked, whole):
+            got, want = np.asarray(got), np.asarray(want)
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert got.tobytes() == want.tobytes()
+            assert _layout(got) == _layout(want)
+
+    def test_large_inputs_run_in_one_d_chunks(self, monkeypatch):
+        seen = []
+        kernel = activations._KERNELS[A.GCU]
+
+        def recording(z, p):
+            seen.append(z.shape)
+            return kernel(z, p)
+
+        monkeypatch.setitem(activations._KERNELS, A.GCU, recording)
+        monkeypatch.setattr(activations, "CHUNK_BYTES", 3 * 8)
+        z = np.linspace(-4.0, 4.0, 10).reshape(2, 5)
+        np.testing.assert_array_equal(apply(A.GCU, z), z * np.cos(z))
+        assert seen == [(3,), (3,), (3,), (1,)]
+        seen.clear()
+        apply(A.GCU, z[:1, :3])  # 3 elements: at most CHUNK_BYTES, one pass
+        assert seen == [(1, 3)]
+
+    @pytest.mark.parametrize("id", [A.DSU, A.SSU, A.GELU])
+    def test_chunked_memory_is_outputs_plus_a_few_chunks(self, id):
+        """apply_with_grad on a (64,32,32,32) float32 NHWC view holds its two
+        outputs and chunk-sized temporaries, not full-size ones: DSU, the
+        hungriest kernel, peaks at about 8 chunks over its outputs."""
+        rng = np.random.default_rng(0)
+        z = (3 * rng.standard_normal((64, 32, 32, 32), dtype=np.float32)).transpose(0, 3, 1, 2)
+        tracemalloc.start()
+        try:
+            g, dg = apply_with_grad(id, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.strides == dg.strides == z.strides  # NHWC stays NHWC
+        chunks = (peak - 2 * z.nbytes) / activations.CHUNK_BYTES
+        assert chunks <= 10, f"{id}: peak is the outputs plus {chunks:.1f} chunks"
