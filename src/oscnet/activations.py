@@ -530,10 +530,8 @@ def _run(id: ActivationId, z, n: int) -> tuple:
         run = kernel(z, params)
         return (next(run),) if n == 1 else (next(run), next(run))
     outs = tuple(np.empty_like(z) for _ in range(n))
-    # z read in the outputs' memory order, so that both flatten alike.
-    order = sorted(range(z.ndim), key=lambda a: -outs[0].strides[a])
-    src = z.transpose(order).reshape(-1)  # a view unless z's memory is not one run
-    dsts = [out.transpose(order).reshape(-1) for out in outs]  # always views
+    src = z.ravel(order="K")  # a view unless z's memory is not one run
+    dsts = [out.ravel(order="K") for out in outs]  # always views
     step = CHUNK_BYTES // z.itemsize
     for i in range(0, z.size, step):
         run = kernel(src[i:i + step], params)

@@ -6,11 +6,11 @@
 Both commits are exported with ``git archive`` into fresh directories (under
 --workdir, or a temporary one), so only committed files are measured; to
 measure uncommitted work, pass ``--change $(git stash create)`` after
-``git add``.  For every workload and seed, one pair runs
-``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
-each directory, one after the other: pair i runs the parent first when i is
-odd and the change first when i is even, so a slow spell of a shared machine
-does not always hit the same side.
+``git add``.  For every workload of BENCHMARK.json and every seed, one pair
+runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
+(T is its ``run_seconds``) in each directory, one after the other: pair i
+runs the parent first when i is odd and the change first when i is even, so a
+slow spell of a shared machine does not always hit the same side.
 
 The output JSON holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's quartiles and per-pair values, ``change_worse_by`` (relative
@@ -35,7 +35,6 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("cnn-rect", "cnn-osc", "catalog-xor")
 SIDES = ("parent", "change")
 
 
@@ -53,19 +52,12 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="git revision of the baseline")
     p.add_argument("--change", default="HEAD", help="git revision of the change (default HEAD)")
     p.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 301-310 or 301,305")
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     p.add_argument("--traced", help="WORKLOAD:SEEDS for traced pairs, e.g. cnn-osc:21,22")
     p.add_argument("--note", default="", help="one line saying what the change is")
     p.add_argument("--workdir", type=Path, help="where the two exports go (default: a temp dir)")
-    args = p.parse_args(argv)
-    args.workloads = args.workloads.split(",")
-    for w in args.workloads:
-        if w not in WORKLOADS:
-            p.error(f"unknown workload {w!r}")
-    return args
+    return p.parse_args(argv)
 
 
 def export(rev: str, dest: Path) -> str:
@@ -155,6 +147,7 @@ def per_gflop(metrics: dict) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     work = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     revs = {"parent": args.parent, "change": args.change}
     trees = {side: work / side for side in SIDES}
@@ -165,7 +158,7 @@ def main(argv=None) -> int:
     out = {
         "what": ("Parent and change medians and quartiles of the end-to-end metrics, one "
                  "workload at a time, from alternating pairs of `python3 perfbench/run.py "
-                 f"--workload W --seed S --seconds {args.seconds:g} --trace 0`; pair i ran "
+                 f"--workload W --seed S --seconds {seconds:g} --trace 0`; pair i ran "
                  "parent first when i is odd and change first when i is even."),
         "parent": short["parent"],
         "change": args.note or short["change"],
@@ -173,8 +166,8 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
     }
     workloads, manifest = {}, None
-    for workload in args.workloads:
-        pairs = run_pairs(trees, workload, args.seeds, args.seconds, 0)
+    for workload in (w["name"] for w in bench["workloads"]):
+        pairs = run_pairs(trees, workload, args.seeds, seconds, 0)
         manifest = pairs[0]["change"]["manifest"]
         workloads[workload] = {
             "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES},
@@ -192,7 +185,7 @@ def main(argv=None) -> int:
         w, seeds = args.traced.split(":")
         seeds = parse_seeds(seeds)
         runs = []
-        for seed, pair in zip(seeds, run_pairs(trees, w, seeds, args.seconds, 1)):
+        for seed, pair in zip(seeds, run_pairs(trees, w, seeds, seconds, 1)):
             run = {"seed": seed}
             for side in SIDES:
                 metrics = pair[side]["metrics"]
@@ -201,7 +194,7 @@ def main(argv=None) -> int:
             runs.append(run)
         out["traced"] = {
             "what": (f"Per-layer metrics of `python3 perfbench/run.py --workload {w} --seed S "
-                     f"--seconds {args.seconds:g} --trace 1`, in alternating order as above. "
+                     f"--seconds {seconds:g} --trace 1`, in alternating order as above. "
                      "Each side fits its own number of steps into the run (network.steps), so "
                      "compare seconds per conv GFLOP."),
             "runs": runs,
