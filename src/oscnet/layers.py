@@ -11,12 +11,18 @@ scatters that block's column gradient into the padded dx.  Every backward
 returns gradients in the same shapes as its forward inputs; cached
 activations are whatever the backward needs, nothing more.  An activation
 layer caches g'(x), computed in the same kernel pass as g(x), so its backward
-is a single product, written into that cache.  A backward consumes its cache:
+is a single product, written into that cache.  The 2x2 max pool builds no
+argmax index: its forward is three np.maximum calls, which rely on two tie
+rules of np.maximum (numpy 2.4): on +0.0 against -0.0 it returns its second
+operand, on two NaNs its first.  It caches (x, y), its input and its
+read-only output, and its backward finds each window's first maximal
+position from them and writes dx into x.  A backward consumes its cache:
 call it once per forward.
 
 Arrays keep NCHW shapes, but the conv and pool kernels hand on NHWC memory:
-a conv output, a pool output and every input gradient they return is an
-NCHW view of channels-last memory, and elementwise kernels keep that layout.
+a conv output, a pool output and the conv's input gradient are NCHW views of
+channels-last memory, and elementwise kernels keep that layout.  The pool's
+input gradient takes the layout of its input x, channels-last in a model.
 So im2col reads its input and the conv backward reads dy without a
 transposing copy.  Any layout is accepted as input; only speed differs.
 """
@@ -37,6 +43,9 @@ PAD = 1
 # thread), budgets of 0.5 to 4 MiB gave relu CNN training and eval rates
 # within about 10 % of each other; none won at every depth.
 BLOCK_BYTES = 1 << 20
+# Input bytes per image block of the pool backward: the block's boolean
+# masks stay in cache while the four quadrants are routed.
+POOL_BLOCK_BYTES = 1 << 18
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
@@ -137,49 +146,83 @@ def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     return dxp[:, PAD:-PAD, PAD:-PAD].transpose(0, 3, 1, 2), dw, db
 
 
-_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window index k = 2*i + j
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window order: argmax index 2*i + j
 
 
-def maxpool2_forward(x: np.ndarray):
-    """2x2 non-overlapping max pool; ties route to the first window index.
+def _quadrants(x: np.ndarray):
+    """The four (N,C,H/2,W/2) views of x, one per window position, in window order."""
+    return [x[:, :, i::2, j::2] for i, j in _QUADRANTS]
 
-    The index is the one argmax over the window would give (a NaN counts as
-    maximal), stored as uint8, and y is bitwise x at that index, so a leading
-    -0.0 keeps its sign and a NaN window gives NaN."""
+
+def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
+    """2x2 non-overlapping max pool: y is bitwise x at each window's first
+    maximal position, the position argmax over the window gives (a NaN
+    counts as maximal), so a leading -0.0 keeps its sign.
+
+    The cache is (x, y), and y is read-only; with_cache=False gives a
+    writeable y and the cache None.  The maxima fold from the last window
+    position, max(max(max(d, c), b), a), so on a tie of +0.0 and -0.0 the
+    earlier position wins.  On two NaNs np.maximum keeps the later one, so
+    windows whose maximum is NaN are set to their first NaN afterwards."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2 expects a 4-d input (N,C,H,W), got shape {x.shape}")
     h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    a, b, c, d = (x[:, :, i::2, j::2] for i, j in _QUADRANTS)
-    y = np.maximum(a, b)
-    np.maximum(y, c, out=y)
-    np.maximum(y, d, out=y)
-    # The first maximal index is the number of leading misses.
-    miss_a, miss_b, miss_c = (~((s == y) | np.isnan(s)) for s in (a, b, c))
-    miss_ab = miss_a & miss_b
-    miss_abc = miss_ab & miss_c
-    arg = miss_a.view(np.uint8) + miss_ab.view(np.uint8) + miss_abc.view(np.uint8)
-    # y equals x[arg] up to the sign of a zero or a NaN: copy that sign over.
-    neg = np.signbit(d)
-    for miss, s in ((miss_c, c), (miss_b, b), (miss_a, a)):
-        neg = (miss & neg) | (~miss & np.signbit(s))
-    np.copysign(y, np.subtract(0.5, neg, dtype=y.dtype), out=y)
-    return y, (arg, x.shape)
+    a, b, c, d = _quadrants(x)
+    y = np.maximum(d, c)
+    np.maximum(y, b, out=y)
+    np.maximum(y, a, out=y)
+    nan = np.isnan(y)
+    if nan.any():
+        first = d[nan]
+        for s in (c, b, a):
+            s = s[nan]
+            first = np.where(np.isnan(s), s, first)
+        y[nan] = first
+    if not with_cache:
+        return y, None
+    y.flags.writeable = False  # a later pool may take y as the x it overwrites
+    return y, (x, y)
 
 
 def maxpool2_backward(dy: np.ndarray, cache):
-    """Route dy to each window's first maximal index; dx is NHWC memory.
+    """Route dy to each window's first maximal position; dx has x's layout.
 
-    Each quadrant is dy's bits ANDed with an all-ones or all-zeros mask, so a
-    position that gets no gradient holds +0.0 whatever the sign of dy."""
-    arg, (n, c, h, w) = cache
+    The routing is recomputed from the cached (x, y), one POOL_BLOCK_BYTES
+    block of whole images at a time: a position is hit when it equals y or
+    is NaN, unless an earlier position of its window was hit.  Each quadrant
+    of dx is dy's bits ANDed with an all-ones or all-zeros mask, so a
+    position that gets no gradient holds +0.0 whatever the sign of dy.  dx
+    is written into x when x is writeable and of dy's dtype, otherwise into
+    a fresh array."""
+    x, y = cache
+    n = x.shape[0]
+    dx = x if x.flags.writeable and x.dtype == dy.dtype else np.empty_like(x, dtype=dy.dtype)
     bits = np.dtype(f"i{dy.itemsize}")
-    dx = np.empty((n, h, w, c), dtype=dy.dtype).transpose(0, 3, 1, 2)
-    dy_bits = dy.view(bits)
-    for k, (i, j) in enumerate(_QUADRANTS):
-        keep = np.subtract(0, arg == np.uint8(k), dtype=bits)
-        np.bitwise_and(dy_bits, keep, out=dx[:, :, i::2, j::2].view(bits))
+    has_nan = np.isnan(y).any()
+    relayout = dy.strides != y.strides  # e.g. NCHW dy from Flatten for NHWC x
+    step = max(1, POOL_BLOCK_BYTES // max(1, x[:1].nbytes))
+    for i in range(0, n, step):
+        blk = slice(i, i + step)
+        y_blk, d_blk = y[blk], dy[blk]
+        if relayout:  # so every operand below walks memory in the same order
+            d_blk = np.empty_like(y_blk, dtype=dy.dtype)
+            d_blk[...] = dy[blk]
+        d_bits = d_blk.view(bits)
+        for k, (s, out) in enumerate(zip(_quadrants(x[blk]), _quadrants(dx[blk]))):
+            if k == 3:  # every window has a maximal position
+                hit = ~claimed
+            else:
+                hit = s == y_blk
+                if has_nan:
+                    hit |= np.isnan(s)
+                if k == 0:
+                    claimed = hit
+                else:
+                    hit = np.greater(hit, claimed)  # hit and not claimed
+                    claimed |= hit
+            np.bitwise_and(d_bits, np.subtract(0, hit, dtype=bits), out=out.view(bits))
     return dx
 
 

@@ -116,7 +116,7 @@ class Activation:
 
 class MaxPool2:
     def forward(self, x, params, train, rng, with_cache):
-        return layers.maxpool2_forward(x)
+        return layers.maxpool2_forward(x, with_cache)
 
     def backward(self, dy, cache, grads):
         return layers.maxpool2_backward(dy, cache)
@@ -151,6 +151,8 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None, with_caches: bool = False):
         caches = []
+        x = x.view()
+        x.flags.writeable = False  # a pool backward writes into writeable inputs it cached
         for layer in self.layers:
             x, cache = layer.forward(x, self.params, train, rng, with_caches)
             if with_caches:

@@ -74,6 +74,34 @@ def window_has_nan(x: np.ndarray) -> np.ndarray:
     return np.isnan(_windows(x)).any(axis=-1)
 
 
+def check_pool_against_reference(x: np.ndarray, dy: np.ndarray):
+    """`layers.maxpool2_forward` in eval and training and its backward are
+    bitwise the argmax reference; a training y is read-only.  The backward
+    may consume x, so it runs last."""
+    want_y, want_arg = reference_maxpool2_forward(x)
+    want_dx = reference_maxpool2_backward(dy, want_arg, x.shape)
+    assert np.isnan(want_y[window_has_nan(x)]).all()
+    y, cache = layers.maxpool2_forward(x, with_cache=False)
+    assert cache is None and y.flags.writeable
+    assert_bitwise(y, want_y)
+    y, cache = layers.maxpool2_forward(x)
+    assert not y.flags.writeable
+    assert_bitwise(y, want_y)
+    assert_bitwise(layers.maxpool2_backward(dy, cache), want_dx)
+
+
+def reference_maxpool2_layer_forward(x: np.ndarray, with_cache: bool = True):
+    """`reference_maxpool2_forward` with the signature of
+    `layers.maxpool2_forward`, so it can stand in for it; the cache holds
+    the argmax index."""
+    y, arg = reference_maxpool2_forward(x)
+    return y, (arg, x.shape) if with_cache else None
+
+
+def reference_maxpool2_layer_backward(dy: np.ndarray, cache) -> np.ndarray:
+    return reference_maxpool2_backward(dy, *cache)
+
+
 def reference_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Conv as one GEMM over the whole-batch patch matrix with columns in
     (C, ki, kj) order; the cache holds that matrix.  Same signature and
@@ -293,7 +321,7 @@ class TestMaxPool:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_argmax_reference(self, data):
-        """Bitwise y and dx, and the same index, as argmax over each window,
+        """Bitwise y (training and eval) and dx as argmax over each window,
         for both dtypes and both memory layouts, on values with ties, signed
         zeros and NaNs of either sign."""
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
@@ -308,15 +336,49 @@ class TestMaxPool:
 
         x = array((n, c, h, w), POOL_VALUES)
         dy = array((n, c, h // 2, w // 2), POOL_VALUES + [-3.5, 2.25])
+        check_pool_against_reference(x, dy)
+
+    @pytest.mark.parametrize("layout", [nhwc, np.ascontiguousarray], ids=["nhwc", "nchw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_windows_with_nan_and_negative_nan_take_the_first_nan(self, dtype, layout):
+        nan = math.nan
+        windows = [[nan, -nan, 1.0, 2.0], [-nan, nan, -0.0, 0.0], [1.0, -nan, nan, -nan],
+                   [-0.0, nan, -nan, 5.0], [0.0, -0.0, -0.0, 0.0], [-nan, -nan, nan, nan]]
+        x = (np.array(windows, dtype=dtype).reshape(1, 2, 1, 3, 2, 2)
+             .transpose(0, 1, 2, 4, 3, 5).reshape(1, 2, 2, 6))  # 2 channels of 1x3 windows
+        dy = np.array([-1.5, 2.0, -0.0, nan, -nan, -3.0], dtype=dtype).reshape(1, 2, 1, 3)
+        check_pool_against_reference(layout(x), layout(dy))
+
+    def test_backward_writes_dx_into_x(self):
+        x = nhwc(RNG.standard_normal((64, 32, 32, 32)).astype(np.float32))
         y, cache = layers.maxpool2_forward(x)
-        want_y, want_arg = reference_maxpool2_forward(x)
-        arg = cache[0]
-        assert arg.dtype == np.uint8
-        np.testing.assert_array_equal(arg, want_arg)
-        assert_bitwise(y, want_y)
-        assert np.isnan(y[window_has_nan(x)]).all()
-        assert_bitwise(layers.maxpool2_backward(dy, cache),
-                       reference_maxpool2_backward(dy, want_arg, x.shape))
+        dy = nhwc(RNG.standard_normal(y.shape).astype(np.float32))
+        want = reference_maxpool2_backward(dy, reference_maxpool2_forward(x)[1], x.shape)
+        tracemalloc.start()
+        try:
+            dx = layers.maxpool2_backward(dy, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(dx, x)
+        assert peak < x.nbytes / 2, f"peak {peak / 1e6:.1f} MB"
+        assert_bitwise(dx, want)
+
+    @pytest.mark.parametrize("case", ["read-only x", "float64 dy"])
+    def test_backward_leaves_x_alone_when_it_cannot_hold_dx(self, case):
+        x = nhwc(RNG.standard_normal((3, 4, 6, 8)).astype(np.float32))
+        x[0, 0, :2, :2] = 0.0  # a tie
+        dy = RNG.standard_normal((3, 4, 3, 4)).astype(np.float32)
+        if case == "read-only x":
+            x.flags.writeable = False
+        else:
+            dy = dy.astype(np.float64)
+        before = x.copy()
+        _, cache = layers.maxpool2_forward(x)
+        dx = layers.maxpool2_backward(dy, cache)
+        assert_bitwise(dx, reference_maxpool2_backward(dy, reference_maxpool2_forward(x)[1], x.shape))
+        assert_bitwise(x, before)
+        assert not np.shares_memory(dx, x)
 
     def test_nhwc_memory_stays_nhwc(self):
         x = nhwc(RNG.standard_normal((2, 3, 4, 6)))

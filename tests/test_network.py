@@ -13,6 +13,7 @@ from oscnet.network import (
     Conv2d,
     Dense,
     Flatten,
+    MaxPool2,
     Model,
     NetworkConfig,
     adam_init,
@@ -21,7 +22,12 @@ from oscnet.network import (
     evaluate_top1,
     train_epoch,
 )
-from test_layers import reference_conv2d_backward, reference_conv2d_forward
+from test_layers import (
+    reference_conv2d_backward,
+    reference_conv2d_forward,
+    reference_maxpool2_layer_backward,
+    reference_maxpool2_layer_forward,
+)
 
 A = ActivationId
 
@@ -158,10 +164,17 @@ class TestKernelCalls:
         m = build_model(NetworkConfig(2, A.GCU, seed=0))
         x = np.random.default_rng(0).random((3, 3, 32, 32), dtype=np.float32)
         calls = self._count(monkeypatch)
+        pool_with_cache = []
+
+        def pool_spy(x, with_cache=True, _counting=layers.maxpool2_forward):
+            pool_with_cache.append(with_cache)
+            return _counting(x, with_cache)
+        monkeypatch.setattr(layers, "maxpool2_forward", pool_spy)
         m.forward(x)
         assert {k: v for k, v in calls.items() if v} == {
             "conv2d_forward": 2, "maxpool2_forward": 2, "activation_forward": 3,
             "dense_forward": 2, "dropout_forward": 1}
+        assert pool_with_cache == [False, False]
 
 
 def training_digest(act: ActivationId, depth: int) -> str:
@@ -214,6 +227,57 @@ class TestBlockedConvOracle:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-10,
                                        atol=1e-10 * np.abs(want[name]).max(), err_msg=name)
         assert any(not np.array_equal(got[name], want[name]) for name in want)
+
+
+def pool_stack(stack, in_shape=(3, 8, 8), seed=4) -> Model:
+    """float64 Model over ``stack`` (at most one Conv2d "layer0", 8 filters,
+    and one Dense "layer5" to 10 logits) with seeded He-uniform params."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    x = np.zeros((1,) + in_shape)
+    for layer in stack:
+        if isinstance(layer, Conv2d):
+            fan_in = x.shape[1] * 9
+            params[layer.w] = rng.uniform(-1, 1, (8, x.shape[1], 3, 3)) * np.sqrt(6.0 / fan_in)
+            params[layer.b] = np.zeros(8)
+        elif isinstance(layer, Dense):
+            params[layer.w] = rng.uniform(-1, 1, (x.shape[1], 10)) * np.sqrt(6.0 / x.shape[1])
+            params[layer.b] = np.zeros(10)
+        x, _ = layer.forward(x, params, False, None, False)
+    return Model(stack, params)
+
+
+class TestPoolAliasing:
+    """The pool backward writes dx into the input it cached, so no stack may
+    hand it an array that is still needed: another pool's output, or the
+    caller's images."""
+
+    def _check_against_the_reference_pool(self, stack, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((4, 3, 8, 8))
+        x[0, :, :2, :2] = 0.0  # tied windows
+        labels = rng.integers(0, 10, 4)
+        before = x.copy()
+        loss, grads = pool_stack(stack).loss_and_grads(x, labels)
+        np.testing.assert_array_equal(x, before)
+        monkeypatch.setattr(layers, "maxpool2_forward", reference_maxpool2_layer_forward)
+        monkeypatch.setattr(layers, "maxpool2_backward", reference_maxpool2_layer_backward)
+        want_loss, want = pool_stack(stack).loss_and_grads(x, labels)
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+            assert np.abs(want[name]).max() > 0, name
+
+    def test_two_adjacent_pools_match_the_argmax_reference(self, monkeypatch):
+        stack = [Conv2d("layer0"), Activation(A.GCU), MaxPool2(), MaxPool2(), Flatten(),
+                 Dense("layer5")]
+        self._check_against_the_reference_pool(stack, monkeypatch)
+
+    def test_a_pool_first_stack_leaves_the_callers_images_alone(self, monkeypatch):
+        stack = [MaxPool2(), Conv2d("layer0"), Activation(A.RELU), MaxPool2(), Flatten(),
+                 Dense("layer5")]
+        self._check_against_the_reference_pool(stack, monkeypatch)
 
 
 @pytest.mark.skipif(np.__version__ != "2.4.6",
