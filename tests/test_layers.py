@@ -95,7 +95,7 @@ def reference_maxpool2_layer_forward(x: np.ndarray, with_cache: bool = True):
     `layers.maxpool2_forward`, so it can stand in for it; the cache holds
     the argmax index."""
     y, arg = reference_maxpool2_forward(x)
-    return y, (arg, x.shape) if with_cache else None
+    return y, ((arg, x.shape) if with_cache else None)
 
 
 def reference_maxpool2_layer_backward(dy: np.ndarray, cache) -> np.ndarray:

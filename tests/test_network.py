@@ -229,12 +229,13 @@ class TestBlockedConvOracle:
         assert any(not np.array_equal(got[name], want[name]) for name in want)
 
 
-def pool_stack(stack, in_shape=(3, 8, 8), seed=4) -> Model:
-    """float64 Model over ``stack`` (at most one Conv2d "layer0", 8 filters,
-    and one Dense "layer5" to 10 logits) with seeded He-uniform params."""
-    rng = np.random.default_rng(seed)
+def pool_stack(stack) -> Model:
+    """float64 Model over ``stack`` for (N,3,8,8) inputs: at most one Conv2d
+    "layer0" with 8 filters and one Dense "layer5" to 10 logits, seeded
+    He-uniform params."""
+    rng = np.random.default_rng(4)
     params = {}
-    x = np.zeros((1,) + in_shape)
+    x = np.zeros((1, 3, 8, 8))
     for layer in stack:
         if isinstance(layer, Conv2d):
             fan_in = x.shape[1] * 9
