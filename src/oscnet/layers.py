@@ -12,12 +12,17 @@ returns gradients in the same shapes as its forward inputs; cached
 activations are whatever the backward needs, nothing more.  An activation
 layer caches g'(x), computed in the same kernel pass as g(x), so its backward
 is a single product, written into that cache.  The 2x2 max pool builds no
-argmax index: its forward is three np.maximum calls, which rely on two tie
-rules of np.maximum (numpy 2.4): on +0.0 against -0.0 it returns its second
-operand, on two NaNs its first.  It caches (x, y), its input and its
-read-only output, and its backward finds each window's first maximal
-position from them and writes dx into x.  A backward consumes its cache:
-call it once per forward.
+argmax index: its forward is three np.maximum calls folded from the last
+window position, and its training cache is (x, y), its input and its
+read-only output.  Its backward finds each window's first maximal position
+from them.  A backward consumes its cache: call it once per forward.
+
+The pool backward writes dx into the x it cached whenever x is writeable and
+of dy's dtype, so anything that must outlive the backward reaches a pool
+read-only.  A training pool output is read-only, so a pool fed by another
+pool leaves the first pool's y intact, and ``Model.forward`` hands its first
+layer a read-only view of the caller's input.  Every other x a pool gets in
+a model is a fresh output held by nothing but that pool's cache.
 
 Arrays keep NCHW shapes, but the conv and pool kernels hand on NHWC memory:
 a conv output, a pool output and the conv's input gradient are NCHW views of
@@ -32,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .activations import ActivationId, apply, apply_with_grad
+from .activations import CHUNK_BYTES, ActivationId, apply, apply_with_grad
 from .activations import apply_grad  # noqa: F401  perfbench/spans.py hooks layers.apply_grad by name
 from .errors import LabelError, ShapeError
 
@@ -43,9 +48,6 @@ PAD = 1
 # thread), budgets of 0.5 to 4 MiB gave relu CNN training and eval rates
 # within about 10 % of each other; none won at every depth.
 BLOCK_BYTES = 1 << 20
-# Input bytes per image block of the pool backward: the block's boolean
-# masks stay in cache while the four quadrants are routed.
-POOL_BLOCK_BYTES = 1 << 18
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
@@ -154,61 +156,103 @@ def _quadrants(x: np.ndarray):
     return [x[:, :, i::2, j::2] for i, j in _QUADRANTS]
 
 
+def _max4(a, b, c, d):
+    """max(max(max(d, c), b), a): folding from the last window position, so
+    where np.maximum returns its second operand on a tie the earlier
+    position wins it."""
+    y = np.maximum(d, c)
+    np.maximum(y, b, out=y)
+    return np.maximum(y, a, out=y)
+
+
+def _fold_keeps_first_zero() -> bool:
+    """Whether _max4 gives an all-zero window the sign of its first zero, i.e.
+    whether np.maximum returns its second operand on a tie of +0.0 and -0.0.
+    numpy 2.4.6 does on x86-64; nothing promises it (IEEE 754 maximum, and
+    ARM's vector max, return +0.0).  Tried on all 16 sign patterns, in both
+    float dtypes and in NCHW and NHWC memory, with 37 channels so that the
+    vector loops and their remainders both run."""
+    signs = (np.arange(16)[:, None] >> np.arange(4)) & 1  # [pattern, position]
+    for dtype in (np.float32, np.float64):
+        windows = np.where(signs, -0.0, 0.0).astype(dtype).reshape(16, 2, 2)
+        x = np.broadcast_to(windows.transpose(1, 0, 2).reshape(2, 32), (1, 37, 2, 32))
+        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for mem in (np.ascontiguousarray(x), nhwc):
+            q = _quadrants(mem)
+            if not np.array_equal(np.signbit(_max4(*q)), np.signbit(q[0])):
+                return False
+    return True
+
+
+# False where the fold can lose a leading -0.0; the forward then re-reads the
+# windows whose maximum is zero.
+_FOLD_KEEPS_FIRST_ZERO = _fold_keeps_first_zero()
+
+
+def _first_where(quadrants, windows, hit):
+    """For each selected window, its value at the first position where
+    hit(value) holds (at the last position if none does)."""
+    *earlier, first = (s[windows] for s in quadrants)
+    for s in reversed(earlier):
+        first = np.where(hit(s), s, first)
+    return first
+
+
 def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
     """2x2 non-overlapping max pool: y is bitwise x at each window's first
     maximal position, the position argmax over the window gives (a NaN
     counts as maximal), so a leading -0.0 keeps its sign.
 
     The cache is (x, y), and y is read-only; with_cache=False gives a
-    writeable y and the cache None.  The maxima fold from the last window
-    position, max(max(max(d, c), b), a), so on a tie of +0.0 and -0.0 the
-    earlier position wins.  On two NaNs np.maximum keeps the later one, so
-    windows whose maximum is NaN are set to their first NaN afterwards."""
+    writeable y and the cache None.  np.maximum gives the right magnitude;
+    which of two equal operands it returns is fixed up where it matters.
+    On two NaNs it keeps the later one, so windows whose maximum is NaN are
+    set to their first NaN.  On +0.0 against -0.0 the fold keeps the
+    earlier one where np.maximum returns its second operand, as probed at
+    import by _fold_keeps_first_zero; elsewhere windows whose maximum is
+    zero are set to their first zero."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2 expects a 4-d input (N,C,H,W), got shape {x.shape}")
     h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    a, b, c, d = _quadrants(x)
-    y = np.maximum(d, c)
-    np.maximum(y, b, out=y)
-    np.maximum(y, a, out=y)
+    q = _quadrants(x)
+    y = _max4(*q)
     nan = np.isnan(y)
     if nan.any():
-        first = d[nan]
-        for s in (c, b, a):
-            s = s[nan]
-            first = np.where(np.isnan(s), s, first)
-        y[nan] = first
+        y[nan] = _first_where(q, nan, np.isnan)
+    if not _FOLD_KEEPS_FIRST_ZERO:
+        zero = y == 0
+        if zero.any():
+            y[zero] = _first_where(q, zero, lambda s: s == 0)
     if not with_cache:
         return y, None
-    y.flags.writeable = False  # a later pool may take y as the x it overwrites
+    y.flags.writeable = False  # a later pool may take y as its x (see the module docstring)
     return y, (x, y)
 
 
 def maxpool2_backward(dy: np.ndarray, cache):
     """Route dy to each window's first maximal position; dx has x's layout.
 
-    The routing is recomputed from the cached (x, y), one POOL_BLOCK_BYTES
-    block of whole images at a time: a position is hit when it equals y or
-    is NaN, unless an earlier position of its window was hit.  Each quadrant
-    of dx is dy's bits ANDed with an all-ones or all-zeros mask, so a
-    position that gets no gradient holds +0.0 whatever the sign of dy.  dx
-    is written into x when x is writeable and of dy's dtype, otherwise into
-    a fresh array."""
+    The routing is recomputed from the cached (x, y), one block of whole
+    images of about CHUNK_BYTES of x at a time: a position is hit when it
+    equals y or is NaN, unless an earlier position of its window was hit.
+    Each block of dy is first copied into y's layout, so every operand walks
+    memory in the same order.  Each quadrant of dx is dy's bits ANDed with
+    an all-ones or all-zeros mask, so a position that gets no gradient holds
+    +0.0 whatever the sign of dy.  dx is written into x when x is writeable
+    and of dy's dtype, otherwise into a fresh array."""
     x, y = cache
     n = x.shape[0]
     dx = x if x.flags.writeable and x.dtype == dy.dtype else np.empty_like(x, dtype=dy.dtype)
     bits = np.dtype(f"i{dy.itemsize}")
     has_nan = np.isnan(y).any()
-    relayout = dy.strides != y.strides  # e.g. NCHW dy from Flatten for NHWC x
-    step = max(1, POOL_BLOCK_BYTES // max(1, x[:1].nbytes))
+    step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
     for i in range(0, n, step):
         blk = slice(i, i + step)
-        y_blk, d_blk = y[blk], dy[blk]
-        if relayout:  # so every operand below walks memory in the same order
-            d_blk = np.empty_like(y_blk, dtype=dy.dtype)
-            d_blk[...] = dy[blk]
+        y_blk = y[blk]
+        d_blk = np.empty_like(y_blk, dtype=dy.dtype)
+        d_blk[...] = dy[blk]
         d_bits = d_blk.view(bits)
         for k, (s, out) in enumerate(zip(_quadrants(x[blk]), _quadrants(dx[blk]))):
             if k == 3:  # every window has a maximal position

@@ -152,7 +152,7 @@ class Model:
                 rng: np.random.Generator | None = None, with_caches: bool = False):
         caches = []
         x = x.view()
-        x.flags.writeable = False  # a pool backward writes into writeable inputs it cached
+        x.flags.writeable = False  # keeps the caller's x from a pool (see oscnet.layers)
         for layer in self.layers:
             x, cache = layer.forward(x, self.params, train, rng, with_caches)
             if with_caches:

@@ -1,5 +1,6 @@
 """Layer forward/backward pairs checked against finite differences."""
 
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -88,6 +89,21 @@ def check_pool_against_reference(x: np.ndarray, dy: np.ndarray):
     assert not y.flags.writeable
     assert_bitwise(y, want_y)
     assert_bitwise(layers.maxpool2_backward(dy, cache), want_dx)
+
+
+def max4_from_the_front(a, b, c, d):
+    """The pool's fold in the other order: where np.maximum returns its
+    second operand on a tie of +0.0 and -0.0, it keeps the last zero."""
+    return np.maximum(np.maximum(np.maximum(a, b), c), d)
+
+
+@contextlib.contextmanager
+def other_zero_tie_rule():
+    """Run the pool as on a platform whose fold loses a leading -0.0 and
+    whose import-time probe saw that."""
+    with mock.patch.object(layers, "_max4", max4_from_the_front), \
+            mock.patch.object(layers, "_FOLD_KEEPS_FIRST_ZERO", False):
+        yield
 
 
 def reference_maxpool2_layer_forward(x: np.ndarray, with_cache: bool = True):
@@ -336,7 +352,11 @@ class TestMaxPool:
 
         x = array((n, c, h, w), POOL_VALUES)
         dy = array((n, c, h // 2, w // 2), POOL_VALUES + [-3.5, 2.25])
-        check_pool_against_reference(x, dy)
+        if data.draw(st.booleans(), label="other zero tie rule"):
+            with other_zero_tie_rule():
+                check_pool_against_reference(x, dy)
+        else:
+            check_pool_against_reference(x, dy)
 
     @pytest.mark.parametrize("layout", [nhwc, np.ascontiguousarray], ids=["nhwc", "nchw"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -348,6 +368,31 @@ class TestMaxPool:
              .transpose(0, 1, 2, 4, 3, 5).reshape(1, 2, 2, 6))  # 2 channels of 1x3 windows
         dy = np.array([-1.5, 2.0, -0.0, nan, -nan, -3.0], dtype=dtype).reshape(1, 2, 1, 3)
         check_pool_against_reference(layout(x), layout(dy))
+
+    @pytest.mark.parametrize("tie_rule", ["probed", "other"])
+    @pytest.mark.parametrize("layout", [nhwc, np.ascontiguousarray], ids=["nhwc", "nchw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_windows_at_model_size(self, dtype, layout, tie_rule):
+        """Windows of +0.0, -0.0 and negatives over 32 channels, so numpy's
+        vector loops run: with this platform's np.maximum and with a fold
+        that keeps the last zero, y keeps the sign of each first zero."""
+        x = RNG.choice(np.array([-1.0, -0.0, 0.0], dtype=dtype), size=(4, 32, 8, 10))
+        dy = RNG.standard_normal((4, 32, 4, 5)).astype(dtype)
+        if tie_rule == "other":
+            with other_zero_tie_rule():
+                check_pool_against_reference(layout(x), layout(dy))
+            return
+        try:
+            check_pool_against_reference(layout(x), layout(dy))
+        except AssertionError as e:
+            raise AssertionError(
+                "layers.maxpool2_forward lost the sign of a leading zero: np.maximum's tie "
+                f"rule on +0.0/-0.0 differs from what _fold_keeps_first_zero probed: {e}") from e
+
+    def test_zero_tie_probe_rejects_a_fold_that_keeps_the_last_zero(self):
+        assert layers._fold_keeps_first_zero() == layers._FOLD_KEEPS_FIRST_ZERO
+        with mock.patch.object(layers, "_max4", max4_from_the_front):
+            assert not layers._fold_keeps_first_zero()
 
     def test_backward_writes_dx_into_x(self):
         x = nhwc(RNG.standard_normal((64, 32, 32, 32)).astype(np.float32))
