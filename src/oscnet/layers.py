@@ -3,11 +3,17 @@
 Convolutions are 3x3, stride 1, zero-padded to preserve spatial size, and are
 lowered to GEMM one block of whole images at a time.  A block holds as many
 images as fit their patch matrix into BLOCK_BYTES, so the columns are still in
-cache when the GEMM reads them.  Patch columns run over (ki, kj, C), matching
-the weight matrix w.transpose(0, 2, 3, 1).reshape(K, 9C), so each im2col copy
-moves runs of contiguous channels.  The forward caches the padded NHWC input,
-not the patch matrix; the backward rebuilds each block's columns for dW and
-scatters that block's column gradient into the padded dx.  Every backward
+cache when the GEMM reads them.  One generator, _patch_blocks, builds every
+patch matrix: it copies each block into a zero-bordered NHWC buffer and
+fills the patches with one copy through a single window view of it.  Patch
+columns run over (ki, kj, C), matching the weight matrix
+w.transpose(0, 2, 3, 1).reshape(K, 9C).  The forward caches its input
+itself, not a padded copy or the patch matrix, so a conv input must not be
+written before the conv's backward; no layer of a model writes one.  The
+backward rebuilds each block's columns for dW, and computes dx as the same
+blocked conv of dy with w flipped in space and its channel axes swapped.  It
+calls the private _conv for that, not conv2d_forward, so a tracer that wraps
+the public kernels sees one forward per conv layer.  Every backward
 returns gradients in the same shapes as its forward inputs; cached
 activations are whatever the backward needs, nothing more.  An activation
 layer caches g'(x), computed in the same kernel pass as g(x), so its backward
@@ -28,7 +34,7 @@ Arrays keep NCHW shapes, but the conv and pool kernels hand on NHWC memory:
 a conv output, a pool output and the conv's input gradient are NCHW views of
 channels-last memory, and elementwise kernels keep that layout.  The pool's
 input gradient takes the layout of its input x, channels-last in a model.
-So im2col reads its input and the conv backward reads dy without a
+So the patch copies read x and dy, and the dW GEMM reads dy, without a
 transposing copy.  Any layout is accepted as input; only speed differs.
 """
 
@@ -44,65 +50,62 @@ from .errors import LabelError, ShapeError
 KERNEL = 3
 PAD = 1
 # Patch-matrix bytes per image block: one block's columns stay in cache
-# between the im2col copy and its GEMM.  On a 2-core x86-64 box (one BLAS
+# between the patch copy and its GEMM.  On a 2-core x86-64 box (one BLAS
 # thread), budgets of 0.5 to 4 MiB gave relu CNN training and eval rates
 # within about 10 % of each other; none won at every depth.
 BLOCK_BYTES = 1 << 20
 
 
-def _pad(x: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> zero-padded (N,H+2,W+2,C) channels-last copy."""
+def _patch_blocks(x: np.ndarray, dtype):
+    """Yield (slice, col) for blocks of whole images of x (N,C,H,W): col is
+    the (nb*H*W, 9C) patch matrix of x[slice] in dtype, columns in (ki, kj, C)
+    order.  Each block is copied into the interior of one zero-bordered NHWC
+    buffer, and one copy through a single window view of that buffer fills
+    the patch buffer.  A block holds as many images as fit their patch
+    matrix into BLOCK_BYTES, at least one; a zero-byte image counts as one
+    byte.  Both buffers are reused, so col is valid until the next block."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, h + 2 * PAD, w + 2 * PAD, c), dtype=x.dtype)
-    xp[:, PAD:PAD + h, PAD:PAD + w] = x.transpose(0, 2, 3, 1)
-    return xp
-
-
-def _image_blocks(xp: np.ndarray, dtype):
-    """Slices of whole images whose patch matrix fits BLOCK_BYTES (at least
-    one image each), and one scratch buffer sized for the largest block."""
-    n, hp, wp, c = xp.shape
-    h, w = hp - 2 * PAD, wp - 2 * PAD
+    if h == 0 or w == 0:  # no patches, and no 3x3 window fits the border
+        return
     per_image = h * w * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
-    step = max(1, min(n, BLOCK_BYTES // per_image))
-    scratch = np.empty((step, h, w, KERNEL, KERNEL, c), dtype=dtype)
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)], scratch
-
-
-def _im2col(xp: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Patch matrix (nb*H*W, 9C) of the padded block xp (nb,H+2,W+2,C), built
-    in the head of ``scratch``.  Columns run over (ki, kj, C): one copy per
-    kernel row, each moving 3C contiguous values per output pixel."""
-    nb, hp, wp, c = xp.shape
-    h, w = hp - 2 * PAD, wp - 2 * PAD
-    col = scratch[:nb]
-    for ki in range(KERNEL):
-        rows = sliding_window_view(xp[:, ki:ki + h], KERNEL, axis=2)  # (nb,H,W,C,kj)
-        col[:, :, :, ki] = rows.swapaxes(-1, -2)
-    return col.reshape(nb * h * w, KERNEL * KERNEL * c)
-
-
-def _col2im(dcol: np.ndarray, dxp: np.ndarray) -> None:
-    """Adjoint of _im2col: scatter-add the (ki, kj, C) patch gradients dcol
-    into the padded block dxp (nb,H+2,W+2,C)."""
-    nb, hp, wp, c = dxp.shape
-    h, w = hp - 2 * PAD, wp - 2 * PAD
-    d = dcol.reshape(nb, h, w, KERNEL, KERNEL, c)
-    for ki in range(KERNEL):
-        for kj in range(KERNEL):
-            dxp[:, ki:ki + h, kj:kj + w] += d[:, :, :, ki, kj]
+    step = max(1, min(n, BLOCK_BYTES // max(1, per_image)))
+    buf = np.zeros((step, h + 2 * PAD, w + 2 * PAD, c), dtype=dtype)
+    win = sliding_window_view(buf, (KERNEL, KERNEL), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    cols = np.empty(win.shape, dtype=dtype)  # (step, H, W, ki, kj, C)
+    for i in range(0, n, step):
+        blk = slice(i, min(i + step, n))
+        nb = blk.stop - i
+        buf[:nb, PAD:PAD + h, PAD:PAD + w] = x[blk].transpose(0, 2, 3, 1)
+        cols[:nb] = win[:nb]
+        yield blk, cols[:nb].reshape(nb * h * w, KERNEL * KERNEL * c)
 
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
     """(K,C,3,3) -> (K, 9C) with columns in the patch order (ki, kj, C)."""
-    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], KERNEL * KERNEL * w.shape[1])
+
+
+def _conv(x: np.ndarray, w: np.ndarray, dtype, b: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlation of x (N,C,H,W) with w (K,C,3,3), plus b if given, as
+    an (N,H,W,K) array of dtype: one GEMM per patch block, written into
+    that block of the output."""
+    n, _, h, wd = x.shape
+    k = w.shape[0]
+    wmat_t = _weight_matrix(w).T
+    y = np.empty((n, h, wd, k), dtype=dtype)
+    for blk, col in _patch_blocks(x, dtype):
+        y_blk = y[blk].reshape(col.shape[0], k)
+        np.matmul(col, wmat_t, out=y_blk)
+        if b is not None:
+            y_blk += b
+    return y
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Cross-correlation. x: (N,C,H,W), w: (K,C,3,3), b: (K,) -> (N,K,H,W).
 
-    The cache is the padded NHWC input and w; backward rebuilds the patch
-    columns from it."""
+    The cache is (x, w): the input itself, which must not be written before
+    the backward."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects a 4-d input (N,C,H,W), got shape {x.shape}")
     if w.ndim != 4 or w.shape[1:] != (x.shape[1], KERNEL, KERNEL):
@@ -110,42 +113,29 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
             f"conv2d weights must be (K,{x.shape[1]},{KERNEL},{KERNEL}), got {w.shape}")
     if b.shape != (w.shape[0],):
         raise ShapeError(f"conv2d bias must be ({w.shape[0]},), got {b.shape}")
-    n, _, h, wd = x.shape
-    k = w.shape[0]
-    xp = _pad(x)
-    wmat_t = _weight_matrix(w).T
-    y = np.empty((n, h, wd, k), dtype=np.result_type(x, w, b))
-    blocks, scratch = _image_blocks(xp, x.dtype)
-    for blk in blocks:
-        y_blk = y[blk].reshape(-1, k)
-        np.matmul(_im2col(xp[blk], scratch), wmat_t, out=y_blk)
-        y_blk += b
-    return y.transpose(0, 3, 1, 2), (xp, w)
+    y = _conv(x, w, np.result_type(x, w, b), b)
+    return y.transpose(0, 3, 1, 2), (x, w)
 
 
 def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     """(dx, dw, db); dx is None when need_dx is False (an input layer).
 
-    dx is a view of NHWC memory; dw is C-contiguous (K,C,3,3)."""
-    xp, w = cache
+    dW accumulates over the patch blocks of x; dx is the same blocked conv
+    of dy with w flipped in space and its channel axes swapped.  dx is a
+    view of NHWC memory; dw is C-contiguous (K,C,3,3)."""
+    x, w = cache
     k, c = w.shape[:2]
     dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1))  # (N,H,W,K)
     db = dmat.reshape(-1, k).sum(axis=0)
-    dtype = np.result_type(dy, xp, w)
-    wmat = _weight_matrix(w)
-    dwmat = np.zeros(wmat.shape, dtype=dtype)
-    dxp = np.zeros(xp.shape, dtype=dtype) if need_dx else None
-    blocks, scratch = _image_blocks(xp, dtype)
-    for blk in blocks:
-        d = dmat[blk].reshape(-1, k)
-        col = _im2col(xp[blk], scratch)
-        dwmat += d.T @ col
-        if need_dx:
-            _col2im(np.matmul(d, wmat, out=col), dxp[blk])
+    dtype = np.result_type(dy, x, w)
+    dwmat = np.zeros((k, KERNEL * KERNEL * c), dtype=dtype)
+    for blk, col in _patch_blocks(x, dtype):
+        dwmat += dmat[blk].reshape(col.shape[0], k).T @ col
     dw = np.ascontiguousarray(dwmat.reshape(k, KERNEL, KERNEL, c).transpose(0, 3, 1, 2))
     if not need_dx:
         return None, dw, db
-    return dxp[:, PAD:-PAD, PAD:-PAD].transpose(0, 3, 1, 2), dw, db
+    dx = _conv(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dtype)
+    return dx.transpose(0, 3, 1, 2), dw, db
 
 
 _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window order: argmax index 2*i + j

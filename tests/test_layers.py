@@ -245,8 +245,8 @@ class TestConv2d:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_blocked_conv_matches_the_single_gemm_reference(self, data):
-        """Any block size (one image per block up to the whole batch, dividing
-        the batch or not), both dtypes, NCHW or NHWC memory for x and dy, with
+        """Any block size for the x or the dy patches (one image per block up
+        to the whole batch, dividing the batch or not), both dtypes, NCHW or NHWC memory for x and dy, with
         and without the input gradient."""
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
         n, c, k = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)),
@@ -260,7 +260,10 @@ class TestConv2d:
 
         x, dy = array((n, c, h, w), True), array((n, k, h, w), True)
         wt, b = array((k, c, 3, 3)), array(k)
-        per_image = h * w * 9 * c * np.dtype(dtype).itemsize
+        # The budget counts the patches of x's C channels (forward and dW) or
+        # of dy's K channels (dx), so either pass gets every kind of block.
+        channels = data.draw(st.sampled_from([c, k]), label="budget channels")
+        per_image = h * w * 9 * channels * np.dtype(dtype).itemsize
         images = data.draw(st.integers(1, n + 1), label="images per block")
         budget = images * per_image + data.draw(st.integers(0, per_image - 1))
         with mock.patch.object(layers, "BLOCK_BYTES", budget):
@@ -297,6 +300,46 @@ class TestConv2d:
         arrays = [a for a in cache if isinstance(a, np.ndarray)]
         assert all(a.shape[-1] != 9 * c for a in arrays)
         assert sum(a.nbytes for a in arrays) < patch_bytes / 4
+
+    def test_cache_is_the_input_itself(self):
+        x = nhwc(RNG.standard_normal((2, 3, 4, 5)))
+        _, cache = layers.conv2d_forward(x, RNG.standard_normal((4, 3, 3, 3)), np.zeros(4))
+        assert np.shares_memory(cache[0], x)
+
+    def test_backward_peak_stays_below_twice_dx(self):
+        """(250,32,16,16) -> 64 float32: dx takes 8.2 MB.  A whole-batch
+        padded copy of x or of dy would push the peak past twice that."""
+        rng = np.random.default_rng(7)
+        n, c, h, w, k = 250, 32, 16, 16, 64
+        x = nhwc(rng.standard_normal((n, c, h, w)).astype(np.float32))
+        wt = rng.standard_normal((k, c, 3, 3)).astype(np.float32)
+        dy = nhwc(rng.standard_normal((n, k, h, w)).astype(np.float32))
+        _, cache = layers.conv2d_forward(x, wt, np.zeros(k, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            dx, _, _ = layers.conv2d_backward(dy, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dx.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 0, 4), (2, 3, 4, 0), (2, 0, 4, 5)],
+                             ids=["H=0", "W=0", "C=0"])
+    def test_empty_images(self, shape, dtype):
+        """Images without pixels or channels give empty outputs of the right
+        shape and dtype; with no channels y is the bias."""
+        x = np.zeros(shape, dtype=dtype)
+        w = RNG.standard_normal((4, shape[1], 3, 3)).astype(dtype)
+        b = RNG.standard_normal(4).astype(dtype)
+        y, cache = layers.conv2d_forward(x, w, b)
+        assert y.shape == (2, 4) + shape[2:] and y.dtype == dtype
+        np.testing.assert_array_equal(y, np.broadcast_to(b[:, None, None], y.shape))
+        dx, dw, db = layers.conv2d_backward(np.ones(y.shape, dtype=dtype), cache)
+        assert dx.shape == x.shape and dx.dtype == dtype
+        assert dw.shape == w.shape and dw.dtype == dtype and not dw.any()
+        assert db.dtype == dtype
+        np.testing.assert_array_equal(db, np.full(4, y[:, 0].size, dtype=dtype))
 
     def test_shape_errors_list_expected_vs_actual(self):
         with pytest.raises(ShapeError, match=r"\(K,3,3,3\)"):

@@ -230,9 +230,9 @@ class TestBlockedConvOracle:
 
 
 def pool_stack(stack) -> Model:
-    """float64 Model over ``stack`` for (N,3,8,8) inputs: at most one Conv2d
-    "layer0" with 8 filters and one Dense "layer5" to 10 logits, seeded
-    He-uniform params."""
+    """float64 Model over ``stack`` for (N,3,8,8) inputs: Conv2d layers with
+    8 filters each and one Dense "layer5" to 10 logits, seeded He-uniform
+    params."""
     rng = np.random.default_rng(4)
     params = {}
     x = np.zeros((1, 3, 8, 8))
@@ -280,6 +280,13 @@ class TestPoolAliasing:
                  Dense("layer5")]
         self._check_against_the_reference_pool(stack, monkeypatch)
 
+    def test_a_conv_keeps_its_writeable_input_for_its_backward(self, monkeypatch):
+        """The second conv caches the activation's writeable output as its
+        input, and the pool after it writes dx into that conv's output."""
+        stack = [Conv2d("layer0"), Activation(A.GCU), Conv2d("layer2"), MaxPool2(), Flatten(),
+                 Dense("layer5")]
+        self._check_against_the_reference_pool(stack, monkeypatch)
+
 
 @pytest.mark.skipif(np.__version__ != "2.4.6",
                     reason="digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64")
@@ -287,14 +294,16 @@ class TestGoldenTraining:
     """Seeded float32 training is pinned bit for bit.  A kernel change that
     keeps these digests computes exactly what the code that recorded them did;
     re-record them only for a change meant to alter the arithmetic.  They were
-    last re-recorded when the conv moved to blocked (ki, kj, C) patch columns,
-    a change of summation order that TestBlockedConvOracle checks in float64."""
+    re-recorded when the conv moved to blocked (ki, kj, C) patch columns, and
+    last when the conv's dx became the blocked conv of dy with flipped,
+    channel-swapped weights: both changed only the float32 summation order
+    (the second only dx's), which TestBlockedConvOracle checks in float64."""
 
     @pytest.mark.parametrize("act, depth, want", [
-        (A.RELU, 2, "3f673881fc8cb00b192f6c2f1d6988fbc70f18c15f160915219cd0b02b0d403d"),
-        (A.SQU, 4, "d979332172cd145b89a54a762142109e0f317f5fce63e22b16ce03838cbf4a00"),
-        (A.DSU, 2, "97101f9f0786d080791e4586866b26514bd83ceade17ce51be34a9011eaaa902"),
-        (A.GELU, 2, "0c7794687c82325cdab7a885c9e06594a1bf034b74c3f15ade5cc3ac1b469baa"),
+        (A.RELU, 2, "012200c896d550a6173ba27128b120bd4e61d1e34274add4b102494cf4c2cdc3"),
+        (A.SQU, 4, "66765831a877415048823c5078e189d72ba59359132a34590f62d256ce25e58c"),
+        (A.DSU, 2, "d4005279c3bbc05942d19199568a31cd6003db5a9f6d94a2fabb784157ce84a8"),
+        (A.GELU, 2, "68eb61de21652ccc522e9ced732abb15325e6891ac02c25192cc4a5ef474b0db"),
     ], ids=["relu-2", "squ-4", "dsu-2", "gelu-2"])
     def test_two_steps_match_the_recorded_digest(self, act, depth, want):
         assert training_digest(act, depth) == want
