@@ -246,8 +246,8 @@ class TestConv2d:
     @settings(max_examples=200, deadline=None)
     def test_blocked_conv_matches_the_single_gemm_reference(self, data):
         """Any block size for the x or the dy patches (one image per block up
-        to the whole batch, dividing the batch or not), both dtypes, NCHW or NHWC memory for x and dy, with
-        and without the input gradient."""
+        to the whole batch, dividing the batch or not), both dtypes, NCHW or
+        NHWC memory for x and dy, with and without the input gradient."""
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
         n, c, k = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)),
                    data.draw(st.integers(1, 5)))
