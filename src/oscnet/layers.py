@@ -126,7 +126,7 @@ def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     x, w = cache
     k, c = w.shape[:2]
     dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1))  # (N,H,W,K)
-    db = dmat.reshape(-1, k).sum(axis=0)
+    db = dmat.sum(axis=(0, 1, 2))
     dtype = np.result_type(dy, x, w)
     dwmat = np.zeros((k, KERNEL * KERNEL * c), dtype=dtype)
     for blk, col in _patch_blocks(x, dtype):

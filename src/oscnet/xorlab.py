@@ -125,34 +125,35 @@ class TrainSpec:
 def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
     """Fit w, b by full-batch gradient descent on squared error sum((g(z)-y)^2).
 
-    Restarts from a fresh uniform[-init_scale, init_scale] init (seeded as
-    seed + restart index) until a valid certificate appears or restarts run
-    out.  A restart whose parameters go non-finite is abandoned; since the
-    learning rate is finite and positive, a non-finite gradient always makes
-    them so.  Returns (best certificate found, loss trace of that restart).
+    All restarts train together as rows of one (restarts, 3) theta, with one
+    kernel call per epoch; row r starts from uniform[-init_scale, init_scale]
+    seeded as seed + r, and its bits match a lone run of that restart.  Then
+    restarts are taken in order until one gives a valid certificate; one
+    whose parameters went non-finite (they never turn finite) is skipped.
+    Returns (best certificate found, loss trace of that restart).
     """
     id = ActivationId(id)
-    best, best_trace = None, []
+    theta = np.array([np.random.default_rng(spec.seed + r).uniform(-spec.init_scale, spec.init_scale, size=3)
+                      for r in range(spec.restarts)])
+    losses = np.empty((spec.epochs, spec.restarts))
+    with np.errstate(over="ignore", invalid="ignore"):  # diverged rows are skipped below
+        for epoch in range(spec.epochs):
+            a, da = apply_with_grad(id, theta[:, :2] @ _X.T + theta[:, 2:])
+            err = a - _Y
+            losses[epoch] = np.vecdot(err, err)
+            gz = 2.0 * err * da
+            grad = np.column_stack([np.vecdot(gz[:, None, :], _X.T), gz.sum(axis=1)])
+            theta = theta - spec.learning_rate * grad
 
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-        for restart in range(spec.restarts):
-            rng = np.random.default_rng(spec.seed + restart)
-            theta = rng.uniform(-spec.init_scale, spec.init_scale, size=3)
-            trace = []
-            for _ in range(spec.epochs):
-                a, da = apply_with_grad(id, _X @ theta[:2] + theta[2])
-                err = a - _Y
-                trace.append(float(err @ err))
-                gz = 2.0 * err * da
-                theta = theta - spec.learning_rate * np.array([gz @ _X[:, 0], gz @ _X[:, 1], gz.sum()])
-                if not np.isfinite(theta).all():
-                    break
-            else:
-                cert = _certificate_for(id, theta[0], theta[1], theta[2])
-                if best is None or (cert.correct, cert.min_abs_margin) > (best.correct, best.min_abs_margin):
-                    best, best_trace = cert, trace
-                if cert.valid:
-                    break
+    best, best_trace = None, []
+    for restart in range(spec.restarts):
+        if not np.isfinite(theta[restart]).all():
+            continue
+        cert = _certificate_for(id, *theta[restart])
+        if best is None or (cert.correct, cert.min_abs_margin) > (best.correct, best.min_abs_margin):
+            best, best_trace = cert, losses[:, restart].tolist()
+        if cert.valid:
+            break
 
     if best is None:  # every restart diverged: report the zero neuron honestly
         best = _certificate_for(id, 0.0, 0.0, 0.0)

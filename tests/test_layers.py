@@ -341,6 +341,23 @@ class TestConv2d:
         assert db.dtype == dtype
         np.testing.assert_array_equal(db, np.full(4, y[:, 0].size, dtype=dtype))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_zero_filters(self, dtype, need_dx):
+        """A conv with no filters gives an empty y, zero-size dw and db, and
+        a zero dx: nothing flows back through it."""
+        x = RNG.standard_normal((2, 3, 4, 5)).astype(dtype)
+        w = np.zeros((0, 3, 3, 3), dtype=dtype)
+        y, cache = layers.conv2d_forward(x, w, np.zeros(0, dtype=dtype))
+        assert y.shape == (2, 0, 4, 5) and y.dtype == dtype
+        dx, dw, db = layers.conv2d_backward(np.ones(y.shape, dtype=dtype), cache, need_dx=need_dx)
+        assert dw.shape == w.shape and dw.dtype == dtype
+        assert db.shape == (0,) and db.dtype == dtype
+        if need_dx:
+            assert dx.shape == x.shape and dx.dtype == dtype and not dx.any()
+        else:
+            assert dx is None
+
     def test_shape_errors_list_expected_vs_actual(self):
         with pytest.raises(ShapeError, match=r"\(K,3,3,3\)"):
             layers.conv2d_forward(np.zeros((1, 3, 8, 8)), np.zeros((4, 2, 3, 3)), np.zeros(4))

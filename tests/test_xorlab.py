@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscnet import xorlab
-from oscnet.activations import ActivationId, apply, apply_grad, descriptor
+from oscnet.activations import ActivationId, apply, apply_grad, apply_with_grad, descriptor
 from oscnet.errors import ConfigError
 from oscnet.xorlab import (
     SingleNeuron,
@@ -23,6 +23,38 @@ from oscnet.xorlab import (
 )
 
 A = ActivationId
+
+
+def sequential_reference(id, spec):
+    """The trainer as it was before restarts were batched: one restart after
+    another, each stopping at its first non-finite theta."""
+    _X, _Y, _certificate_for = xorlab._X, xorlab._Y, xorlab._certificate_for
+    id = ActivationId(id)
+    best, best_trace = None, []
+
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+        for restart in range(spec.restarts):
+            rng = np.random.default_rng(spec.seed + restart)
+            theta = rng.uniform(-spec.init_scale, spec.init_scale, size=3)
+            trace = []
+            for _ in range(spec.epochs):
+                a, da = apply_with_grad(id, _X @ theta[:2] + theta[2])
+                err = a - _Y
+                trace.append(float(err @ err))
+                gz = 2.0 * err * da
+                theta = theta - spec.learning_rate * np.array([gz @ _X[:, 0], gz @ _X[:, 1], gz.sum()])
+                if not np.isfinite(theta).all():
+                    break
+            else:
+                cert = _certificate_for(id, theta[0], theta[1], theta[2])
+                if best is None or (cert.correct, cert.min_abs_margin) > (best.correct, best.min_abs_margin):
+                    best, best_trace = cert, trace
+                if cert.valid:
+                    break
+
+    if best is None:  # every restart diverged: report the zero neuron honestly
+        best = _certificate_for(id, 0.0, 0.0, 0.0)
+    return best, best_trace
 
 
 class TestDataset:
@@ -170,12 +202,29 @@ class TestTraining:
         assert np.array_equal(trace, ref_trace)
 
     def test_one_kernel_call_per_epoch(self, monkeypatch):
-        calls = []
+        """All restarts share each epoch's kernel call, one row per restart."""
+        shapes = []
         fused = xorlab.apply_with_grad
-        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: calls.append(i) or fused(i, z))
+        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: shapes.append(z.shape) or fused(i, z))
         monkeypatch.setattr(xorlab, "apply", lambda i, z: pytest.fail("apply called in training"))
-        _, trace = train_single_neuron(A.GCU, TrainSpec(restarts=1, epochs=50))
-        assert len(calls) == len(trace) == 50
+        _, trace = train_single_neuron(A.GCU, TrainSpec(restarts=5, epochs=50))
+        assert len(shapes) == len(trace) == 50
+        assert set(shapes) == {(5, 4)}
+
+    @pytest.mark.parametrize("id,spec", [
+        *((id, TrainSpec()) for id in A),
+        (A.SQU, TrainSpec(learning_rate=1e6, restarts=3, epochs=50)),  # every restart diverges
+        (A.NCU, TrainSpec()),  # some restarts diverge
+        (A.DSU, TrainSpec(init_scale=2.0)),
+        (A.TANH, TrainSpec(restarts=1)),
+    ], ids=str)
+    def test_batched_restarts_match_the_sequential_loop(self, id, spec):
+        """Certificate and loss trace equal those of one restart after another, bit for bit."""
+        cert, trace = train_single_neuron(id, spec)
+        ref_cert, ref_trace = sequential_reference(id, spec)
+        assert cert == ref_cert
+        assert type(trace) is list and all(type(v) is float for v in trace)
+        assert np.array_equal(np.array(trace).view(np.uint64), np.array(ref_trace).view(np.uint64))
 
     @pytest.mark.parametrize("id,w,b,margins", [
         (A.SQU, (-0.5584006948287524, 0.5584006948287524), -0.5,
