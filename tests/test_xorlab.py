@@ -8,6 +8,7 @@ import pytest
 from oscnet import xorlab
 from oscnet.activations import ActivationId, apply, apply_grad, apply_with_grad, descriptor
 from oscnet.errors import ConfigError
+from oscnet.properties import Interval
 from oscnet.xorlab import (
     SingleNeuron,
     TrainSpec,
@@ -55,6 +56,39 @@ def sequential_reference(id, spec):
     if best is None:  # every restart diverged: report the zero neuron honestly
         best = _certificate_for(id, 0.0, 0.0, 0.0)
     return best, best_trace
+
+
+def reference_grid_search(id, bound=5.0, resolution=0.1):
+    """The grid search as it was before g was tabulated: g evaluated on the
+    full (n, n, n) pre-activation cube, once per XOR point."""
+    _XOR_INPUTS, _XOR_LABELS = xorlab._XOR_INPUTS, xorlab._XOR_LABELS
+    _point_correct, _certificate_for = xorlab._point_correct, xorlab._certificate_for
+    axis = Interval(-bound, bound, resolution).grid()
+    w1, w2, b = axis[:, None, None], axis[None, :, None], axis
+
+    correct = np.zeros((axis.size,) * 3, dtype=np.int8)
+    min_abs = np.full(correct.shape, np.inf)
+    for (x1, x2), y in zip(_XOR_INPUTS, _XOR_LABELS):
+        m = apply(id, w1 * x1 + w2 * x2 + b)
+        correct += _point_correct(y, m)
+        np.minimum(min_abs, np.abs(m), out=min_abs)
+
+    candidates = np.flatnonzero(correct == correct.max())
+    winner = candidates[np.argmax(min_abs.ravel()[candidates])]
+    i, j, k = np.unravel_index(winner, correct.shape)
+    return _certificate_for(id, axis[i], axis[j], axis[k])
+
+
+def reference_boundary_csv(path, neuron, lo=-2.0, hi=2.0, resolution=101):
+    """The boundary CSV writer as it was before rows were joined: one repr
+    pair and one write per cell."""
+    grid = decision_boundary_grid(neuron, lo, hi, resolution)
+    axis = [float(v) for v in np.linspace(lo, hi, resolution)]
+    with open(path, "w") as fh:
+        fh.write("x1,x2,sign\n")
+        for i, a in enumerate(axis):
+            for j, c in enumerate(axis):
+                fh.write(f"{a!r},{c!r},{int(grid[i, j])}\n")
 
 
 class TestDataset:
@@ -156,6 +190,45 @@ class TestGridSearch:
         cert = grid_search_certificate(id)
         assert (cert.neuron.w, cert.neuron.b, cert.margins) == (w, b, margins)
         assert cert.correct == correct and cert.valid == (correct == 4)
+
+    @pytest.mark.parametrize("id", list(A), ids=str)
+    def test_matches_the_per_triple_reference(self, id):
+        """Tabulating g on the distinct sums picks the reference's certificate."""
+        assert grid_search_certificate(id) == reference_grid_search(id)
+
+    @pytest.mark.parametrize("bound,resolution", [
+        (7.3, 0.13),  # 113 points: the step does not divide the window, the axis is not symmetric
+        (1.0, 0.1),   # 21 points, 0.0 among them
+        (0.3, 0.2),   # 4 points
+    ])
+    @pytest.mark.parametrize("id", [A.SQU, A.GCU, A.DSU, A.Z_SQ_COS, A.TANH, A.RELU, A.SIGNUM], ids=str)
+    def test_matches_the_reference_on_other_windows(self, id, bound, resolution):
+        assert grid_search_certificate(id, bound, resolution) == reference_grid_search(id, bound, resolution)
+
+    @pytest.mark.parametrize("bound,resolution,shape", [
+        (5.0, 0.1, (905, 101)),  # 905 distinct of the 4 * 101**2 = 40 804 sums
+        (7.3, 0.13, (1373, 113)),
+        (0.3, 0.2, (15, 4)),
+    ])
+    def test_one_kernel_call_on_the_distinct_sums(self, monkeypatch, bound, resolution, shape):
+        """g is evaluated once per search, on (distinct sums w1*x1 + w2*x2) x n pre-activations."""
+        shapes = []
+        kernel = xorlab.apply
+        monkeypatch.setattr(xorlab, "apply", lambda i, z: shapes.append(z.shape) or kernel(i, z))
+        grid_search_certificate(A.GCU, bound, resolution)
+        assert shapes == [shape]
+
+    @pytest.mark.parametrize("bound,resolution", [(5.0, 0.1), (1.0, 0.1)])
+    @pytest.mark.parametrize("id", [A.IDENTITY, A.TANH], ids=str)
+    def test_merged_signed_zero_changes_nothing(self, id, bound, resolution):
+        """np.unique merges the -0.0 sum (w1 = w2 = 0 at x = (-1, -1)) with +0.0;
+        for an odd, sign-preserving g a zero margin then scores the same."""
+        axis = Interval(-bound, bound, resolution).grid()
+        sums = np.stack([axis[:, None] * x1 + axis * x2 for x1, x2 in xorlab._XOR_INPUTS])
+        assert (sums == 0).any() and np.signbit(sums[sums == 0]).any() and not np.signbit(sums[sums == 0]).all()
+        for y in (-1.0, 1.0):
+            assert xorlab._point_correct(y, apply(id, np.array([-0.0, 0.0]))).tolist() == [False, False]
+        assert grid_search_certificate(id, bound, resolution) == reference_grid_search(id, bound, resolution)
 
 
 class TestTraining:
@@ -306,3 +379,14 @@ class TestExports:
         first = lines[1].split(",")
         assert (float(first[0]), float(first[1])) == (-2.0, -2.0)
         assert int(first[2]) in (-1, 0, 1)
+
+    @pytest.mark.parametrize("resolution", [2, 11, 101])
+    @pytest.mark.parametrize("neuron", [
+        SingleNeuron((1.1, -1.0), -0.5, A.SQU),
+        SingleNeuron((-3.5, -2.9), 1.1000000000000005, A.DSU),
+        SingleNeuron((0.0, 0.0), 0.0, A.IDENTITY),  # every cell has sign 0
+    ], ids=lambda n: n.activation.value)
+    def test_boundary_csv_bytes_match_the_reference(self, tmp_path, neuron, resolution):
+        write_boundary_csv(tmp_path / "new.csv", neuron, resolution=resolution)
+        reference_boundary_csv(tmp_path / "ref.csv", neuron, resolution=resolution)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
