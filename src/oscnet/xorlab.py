@@ -94,8 +94,8 @@ def grid_search_certificate(id: ActivationId, bound: float = 5.0,
     the activation exhibits the XOR property at this resolution.
 
     Every pre-activation is (w1*x1 + w2*x2) + b with x1, x2 = +-1, so g is
-    tabulated once on the distinct sums w1*x1 + w2*x2 (about 900 of the
-    40 804 at the defaults) plus each b, and each point's scores are gathered
+    tabulated once on the distinct sums w1*x1 + w2*x2 (905 of the 40 804
+    at the defaults) plus each b, and each point's scores are gathered
     from that table; z is computed by the same two float adds as a direct
     evaluation.  ``np.unique`` merges -0.0 with +0.0, so a zero sum may come
     back as the other zero.  That changes z only where b is zero as well, and

@@ -218,17 +218,17 @@ class TestGridSearch:
         grid_search_certificate(A.GCU, bound, resolution)
         assert shapes == [shape]
 
-    @pytest.mark.parametrize("bound,resolution", [(5.0, 0.1), (1.0, 0.1)])
     @pytest.mark.parametrize("id", [A.IDENTITY, A.TANH], ids=str)
-    def test_merged_signed_zero_changes_nothing(self, id, bound, resolution):
+    def test_merged_signed_zero_changes_nothing(self, id):
         """np.unique merges the -0.0 sum (w1 = w2 = 0 at x = (-1, -1)) with +0.0;
         for an odd, sign-preserving g a zero margin then scores the same."""
-        axis = Interval(-bound, bound, resolution).grid()
+        axis = Interval(-1.0, 1.0, 0.1).grid()
         sums = np.stack([axis[:, None] * x1 + axis * x2 for x1, x2 in xorlab._XOR_INPUTS])
-        assert (sums == 0).any() and np.signbit(sums[sums == 0]).any() and not np.signbit(sums[sums == 0]).all()
+        zeros = sums[sums == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # both -0.0 and +0.0 occur
         for y in (-1.0, 1.0):
             assert xorlab._point_correct(y, apply(id, np.array([-0.0, 0.0]))).tolist() == [False, False]
-        assert grid_search_certificate(id, bound, resolution) == reference_grid_search(id, bound, resolution)
+        assert grid_search_certificate(id, 1.0, 0.1) == reference_grid_search(id, 1.0, 0.1)
 
 
 class TestTraining:
