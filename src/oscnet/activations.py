@@ -1,11 +1,13 @@
 """Activation function catalog: formulas, analytic derivatives, and static metadata.
 
-Every unit is a scalar nonlinearity g(z).  Each entry ships one vectorized
-kernel that yields g and then g' (kinks mapped to subgradient 0), so that
-``apply``, ``apply_grad`` and the fused ``apply_with_grad`` run the same code,
-and an ``ActivationDescriptor`` recording continuity, kink points, monotonicity, range,
-small-input affine behaviour, zero/hyperplane count, sign-equivalence to the
-identity, and whether a single neuron with this unit can learn XOR.
+Every unit is a scalar nonlinearity g(z) with one catalog entry, an
+``ActivationDescriptor``.  The entry owns the unit's vectorized kernel, which
+takes only z and yields g and then g' (kinks mapped to subgradient 0), so that
+``apply``, ``apply_grad`` and the fused ``apply_with_grad`` run the same code.
+It also records continuity, kink points, monotonicity, range, small-input
+affine behaviour, zero/hyperplane count, sign-equivalence to the identity,
+whether a single neuron with this unit can learn XOR, and ``params``: the
+module constants its kernel reads, so each value is written once.
 
 Range endpoints and small-value slopes that are attained at interior optima are
 stored at full float64 precision with their defining equations noted inline; the
@@ -32,6 +34,7 @@ took 27.4, 19.0 and 20.1.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -47,8 +50,14 @@ CHUNK_BYTES = 1 << 18
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
+
+# Unit parameters: read by the kernels, reported by the entries' ``params``.
+LEAKY_RELU_SLOPE = 0.01
+PRELU_ALPHA = 0.25
 SELU_SCALE = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
+_SRS_ALPHA, _SRS_BETA = 2.0, 3.0
+_SRS_MIN = _SRS_ALPHA * _SRS_BETA / (_SRS_BETA - _SRS_ALPHA * math.e)  # attained at z = -beta
 
 # Interior extrema, frozen from high-precision root finding:
 #   SiLU/Swish: global min of z*sigmoid(z), where 1 + z*(1 - sigmoid(z)) = 0;
@@ -111,9 +120,10 @@ class ValueRange:
 
 @dataclass(frozen=True)
 class ActivationDescriptor:
-    """Static metadata for one catalog entry."""
+    """One catalog entry: the unit's kernel and its static metadata."""
 
     id: ActivationId
+    kernel: Callable = field(repr=False, compare=False)  # z -> yields g, then g'
     params: dict = field(default_factory=dict)
     continuous: bool = True
     nondifferentiable_points: tuple = ()
@@ -195,71 +205,71 @@ def _softplus_from(t, z):
 
 
 # ---------------------------------------------------------------------------
-# kernels: one generator per unit yields g(z), then g'(z) (subgradient 0 at
-# kinks), sharing the work between them.  `apply` stops after g, so nothing
-# only g' needs is computed before the first yield.  Kernels receive a float
-# array, possibly 0-d, keep its dtype and never write to it.  Updates in place
-# are augmented assignments, which also work on the numpy scalars that
-# ufuncs return for 0-d input; `_sinc_arr` alone indexes, so its callers
-# pass it rank >= 1 and give their outputs the input's shape.
+# kernels: one generator per unit, named by its catalog entry, takes only z
+# and yields g(z), then g'(z) (subgradient 0 at kinks), sharing the work
+# between them; a unit's parameters are the module constants above.  `apply`
+# stops after g, so nothing only g' needs is computed before the first yield.
+# Kernels receive a float array, possibly 0-d, keep its dtype and never write
+# to it.  Updates in place are augmented assignments, which also work on the
+# numpy scalars that ufuncs return for 0-d input; `_sinc_arr` alone indexes,
+# so its callers pass it rank >= 1 and give their outputs the input's shape.
 # ---------------------------------------------------------------------------
 
-def _signum(z, p):
+def _signum(z):
     yield np.sign(z)
     yield np.zeros_like(z)
 
-def _identity(z, p):
+def _identity(z):
     yield z + 0.0
     yield np.ones_like(z)
 
-def _bipolar_sigmoid(z, p):
+def _bipolar_sigmoid(z):
     # (1 - e^-z)/(1 + e^-z) == tanh(z/2)
     t = np.tanh(z / 2.0)
     yield t
     yield 0.5 * (1.0 - t * t)
 
-def _sigmoid_act(z, p):
+def _sigmoid_act(z):
     s = _sigmoid(z)
     yield s
     yield s * (1.0 - s)
 
-def _tanh(z, p):
+def _tanh(z):
     t = np.tanh(z)
     yield t
     yield 1.0 - t * t
 
-def _absolute(z, p):
+def _absolute(z):
     yield np.abs(z)
     yield np.sign(z)
 
-def _soft_root_sign(z, p):
-    a, b = p["alpha"], p["beta"]
-    e = np.exp(-z / b)
-    den = z / a + e
+def _soft_root_sign(z):
+    e = np.exp(-z / _SRS_BETA)
+    den = z / _SRS_ALPHA + e
     yield z / den
-    dden = 1.0 / a - e / b
+    dden = 1.0 / _SRS_ALPHA - e / _SRS_BETA
     yield (den - z * dden) / (den * den)
 
-def _hard_tanh(z, p):
+def _hard_tanh(z):
     yield np.clip(z, -1.0, 1.0)
     yield (np.abs(z) < 1.0).astype(z.dtype)
 
-def _silu(z, p):
+def _silu(z):
     s = _sigmoid(z)
     yield z * s
     yield s * (1.0 + z * (1.0 - s))
 
-def _lisht(z, p):
+def _lisht(z):
     t = np.tanh(z)
     yield z * t
     yield t + z * (1.0 - t * t)
 
-def _softplus_act(z, p):
+def _softplus_act(z):
     t = np.exp(-np.abs(z))
     yield _softplus_from(t, z)
     yield _sigmoid_from(t, z)
 
-def _relu(z, p):
+def _relu(z):
     g = np.maximum(z, 0.0)
     yield g
     yield np.sign(g)  # 1 above 0; 0 at the kink and below
@@ -275,10 +285,10 @@ def _two_slope(z, slope):
     dg += z > 0.0
     yield dg
 
-def _leaky_relu(z, p):
-    return _two_slope(z, p["negative_slope"])
+def _leaky_relu(z):
+    return _two_slope(z, LEAKY_RELU_SLOPE)
 
-def _gelu(z, p):
+def _gelu(z):
     # 0.5*z*(1 + tanh(u)) evaluated as z*sigmoid(2u): identical analytically,
     # keeps the exponential tail sign-correct instead of flushing to -0.0.
     s = _sigmoid((2.0 * _SQRT_2_OVER_PI) * (z + _GELU_CUBIC * (z * z * z)))
@@ -286,69 +296,68 @@ def _gelu(z, p):
     du2 = 2.0 * _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * z * z)
     yield s + z * s * (1.0 - s) * du2
 
-def _selu(z, p):
-    lam, a = p["scale"], p["alpha"]
+def _selu(z):
     lo = np.minimum(z, 0.0)
     g = np.expm1(lo)
-    g *= lam * a
-    g += lam * np.maximum(z, 0.0)
+    g *= SELU_SCALE * SELU_ALPHA
+    g += SELU_SCALE * np.maximum(z, 0.0)
     yield g
     dg = np.exp(lo)
-    dg *= lam * a
+    dg *= SELU_SCALE * SELU_ALPHA
     dg *= z < 0.0
-    dg += (z > 0.0).astype(z.dtype) * lam
+    dg += (z > 0.0).astype(z.dtype) * SELU_SCALE
     yield dg
 
-def _mish(z, p):
+def _mish(z):
     t = np.exp(-np.abs(z))
     th = np.tanh(_softplus_from(t, z))
     yield z * th
     yield th + z * (1.0 - th * th) * _sigmoid_from(t, z)
 
-def _elu(z, p):
+def _elu(z):
     g = np.expm1(np.minimum(z, 0.0))
     g += np.maximum(z, 0.0)
     yield g
     # one-sided slopes agree at 0 (both 1): ELU is C1, no kink.
     yield np.exp(np.minimum(z, 0.0))
 
-def _prelu(z, p):
-    return _two_slope(z, p["alpha"])
+def _prelu(z):
+    return _two_slope(z, PRELU_ALPHA)
 
-def _sine(z, p):
+def _sine(z):
     yield np.sin(z)
     yield np.cos(z)
 
-def _squ(z, p):
+def _squ(z):
     yield z * z + z
     yield 2.0 * z + 1.0
 
-def _monotonic_cubic(z, p):
+def _monotonic_cubic(z):
     yield z * z * z + z
     yield 3.0 * z * z + 1.0
 
-def _ncu(z, p):
+def _ncu(z):
     yield z - z * z * z
     yield 1.0 - 3.0 * z * z
 
-def _z_sq_cos(z, p):
+def _z_sq_cos(z):
     c = np.cos(z)
     yield z * z * c
     yield 2.0 * z * c - z * z * np.sin(z)
 
-def _ssu(z, p):
+def _ssu(z):
     # pi*sinc(u), u = z - pi: u is exact near the peak at z = pi.
     u = np.atleast_1d(z - math.pi)
     sinc, near, un = _sinc_arr(u)
     yield (math.pi * sinc).reshape(z.shape)
     yield (math.pi * _dsinc_arr(u, sinc, near, un)).reshape(z.shape)
 
-def _gcu(z, p):
+def _gcu(z):
     c = np.cos(z)
     yield z * c
     yield c - z * np.sin(z)
 
-def _dsu(z, p):
+def _dsu(z):
     # (pi/2)(sinc(z - pi) - sinc(z + pi)) = pi^2 sin z/(pi^2 - z^2), odd in z.
     # With a = |z| and u = a - pi it is sign(z)*pi^2*sinc(u)/(a + pi): one
     # sin and one cos of u serve g and g', and u is exact near the removable
@@ -369,136 +378,106 @@ def _dsu(z, p):
     yield dg.reshape(z.shape)
 
 
-_KERNELS = {
-    ActivationId.SIGNUM: _signum,
-    ActivationId.IDENTITY: _identity,
-    ActivationId.BIPOLAR_SIGMOID: _bipolar_sigmoid,
-    ActivationId.SIGMOID: _sigmoid_act,
-    ActivationId.TANH: _tanh,
-    ActivationId.ABSOLUTE: _absolute,
-    ActivationId.SOFT_ROOT_SIGN: _soft_root_sign,
-    ActivationId.HARD_TANH: _hard_tanh,
-    ActivationId.SILU: _silu,
-    ActivationId.LISHT: _lisht,
-    ActivationId.SOFTPLUS: _softplus_act,
-    ActivationId.RELU: _relu,
-    ActivationId.LEAKY_RELU: _leaky_relu,
-    ActivationId.GELU: _gelu,
-    ActivationId.SELU: _selu,
-    ActivationId.SWISH: _silu,  # same formula as SiLU, distinct id
-    ActivationId.MISH: _mish,
-    ActivationId.ELU: _elu,
-    ActivationId.PRELU: _prelu,
-    ActivationId.SINE: _sine,
-    ActivationId.SQU: _squ,
-    ActivationId.MONOTONIC_CUBIC: _monotonic_cubic,
-    ActivationId.NCU: _ncu,
-    ActivationId.Z_SQ_COS: _z_sq_cos,
-    ActivationId.SSU: _ssu,
-    ActivationId.GCU: _gcu,
-    ActivationId.DSU: _dsu,
-}
-
-_SRS_ALPHA, _SRS_BETA = 2.0, 3.0
-_SRS_MIN = _SRS_ALPHA * _SRS_BETA / (_SRS_BETA - _SRS_ALPHA * math.e)  # attained at z = -beta
-
 _R = ValueRange
 _UNBOUNDED = _R(-math.inf, math.inf, False, False)
 
 _CATALOG: dict[ActivationId, ActivationDescriptor] = {d.id: d for d in [
     ActivationDescriptor(
-        ActivationId.SIGNUM, continuous=False, nondifferentiable_points=(0.0,),
+        ActivationId.SIGNUM, _signum, continuous=False, nondifferentiable_points=(0.0,),
         monotonic=True, value_range=_R(-1.0, 1.0), small_value=None,
         hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.IDENTITY, monotonic=True, value_range=_UNBOUNDED,
+        ActivationId.IDENTITY, _identity, monotonic=True, value_range=_UNBOUNDED,
         small_value=(0.0, 1.0), hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.BIPOLAR_SIGMOID, monotonic=True,
+        ActivationId.BIPOLAR_SIGMOID, _bipolar_sigmoid, monotonic=True,
         value_range=_R(-1.0, 1.0, False, False),
         small_value=(0.0, 0.5),  # g'(0) = 2e^0/(1+e^0)^2 = 1/2
         hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.SIGMOID, monotonic=True, value_range=_R(0.0, 1.0, False, False),
-        small_value=(0.5, 0.25), hyperplane_count=0),
+        ActivationId.SIGMOID, _sigmoid_act, monotonic=True,
+        value_range=_R(0.0, 1.0, False, False), small_value=(0.5, 0.25), hyperplane_count=0),
     ActivationDescriptor(
-        ActivationId.TANH, monotonic=True, value_range=_R(-1.0, 1.0, False, False),
+        ActivationId.TANH, _tanh, monotonic=True, value_range=_R(-1.0, 1.0, False, False),
         small_value=(0.0, 1.0), hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.ABSOLUTE, nondifferentiable_points=(0.0,), monotonic=False,
+        ActivationId.ABSOLUTE, _absolute, nondifferentiable_points=(0.0,), monotonic=False,
         value_range=_R(0.0, math.inf, True, False), small_value=None, hyperplane_count=1),
     ActivationDescriptor(
-        ActivationId.SOFT_ROOT_SIGN, params={"alpha": _SRS_ALPHA, "beta": _SRS_BETA},
+        ActivationId.SOFT_ROOT_SIGN, _soft_root_sign,
+        params={"alpha": _SRS_ALPHA, "beta": _SRS_BETA},
         monotonic=False, value_range=_R(_SRS_MIN, _SRS_ALPHA, True, False),
         small_value=(0.0, 1.0), hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.HARD_TANH, nondifferentiable_points=(-1.0, 1.0), monotonic=True,
+        ActivationId.HARD_TANH, _hard_tanh, nondifferentiable_points=(-1.0, 1.0), monotonic=True,
         value_range=_R(-1.0, 1.0), small_value=(0.0, 1.0), hyperplane_count=1,
         sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.SILU, monotonic=False, value_range=_R(_SILU_MIN, math.inf, True, False),
+        ActivationId.SILU, _silu, monotonic=False, value_range=_R(_SILU_MIN, math.inf, True, False),
         small_value=(0.0, 0.5), hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.LISHT, monotonic=False, value_range=_R(0.0, math.inf, True, False),
+        ActivationId.LISHT, _lisht, monotonic=False, value_range=_R(0.0, math.inf, True, False),
         small_value=(0.0, 0.0),  # z*tanh(z) ~ z^2: no linear term
         hyperplane_count=1),
     ActivationDescriptor(
-        ActivationId.SOFTPLUS, monotonic=True, value_range=_R(0.0, math.inf, False, False),
+        ActivationId.SOFTPLUS, _softplus_act, monotonic=True,
+        value_range=_R(0.0, math.inf, False, False),
         small_value=(math.log(2.0), 0.5), hyperplane_count=0),
     ActivationDescriptor(
-        ActivationId.RELU, nondifferentiable_points=(0.0,), monotonic=True,
+        ActivationId.RELU, _relu, nondifferentiable_points=(0.0,), monotonic=True,
         value_range=_R(0.0, math.inf, True, False), small_value=None, hyperplane_count=1),
     ActivationDescriptor(
-        ActivationId.LEAKY_RELU, params={"negative_slope": 0.01},
+        ActivationId.LEAKY_RELU, _leaky_relu, params={"negative_slope": LEAKY_RELU_SLOPE},
         nondifferentiable_points=(0.0,), monotonic=True, value_range=_UNBOUNDED,
         small_value=None, hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.GELU, monotonic=False, value_range=_R(_GELU_MIN, math.inf, True, False),
+        ActivationId.GELU, _gelu, monotonic=False, value_range=_R(_GELU_MIN, math.inf, True, False),
         small_value=(0.0, 0.5), hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.SELU, params={"scale": SELU_SCALE, "alpha": SELU_ALPHA},
+        ActivationId.SELU, _selu, params={"scale": SELU_SCALE, "alpha": SELU_ALPHA},
         nondifferentiable_points=(0.0,), monotonic=True,
         value_range=_R(-SELU_SCALE * SELU_ALPHA, math.inf, False, False),
         small_value=None, hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.SWISH, monotonic=False, value_range=_R(_SILU_MIN, math.inf, True, False),
+        ActivationId.SWISH, _silu,  # same formula as SiLU, distinct id
+        monotonic=False, value_range=_R(_SILU_MIN, math.inf, True, False),
         small_value=(0.0, 0.5), hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.MISH, monotonic=False, value_range=_R(_MISH_MIN, math.inf, True, False),
+        ActivationId.MISH, _mish, monotonic=False, value_range=_R(_MISH_MIN, math.inf, True, False),
         small_value=(0.0, 0.6),  # tanh(ln 2) = 3/5 exactly
         hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.ELU, monotonic=True, value_range=_R(-1.0, math.inf, False, False),
+        ActivationId.ELU, _elu, monotonic=True, value_range=_R(-1.0, math.inf, False, False),
         small_value=(0.0, 1.0), hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.PRELU, params={"alpha": 0.25}, nondifferentiable_points=(0.0,),
+        ActivationId.PRELU, _prelu, params={"alpha": PRELU_ALPHA}, nondifferentiable_points=(0.0,),
         monotonic=True, value_range=_UNBOUNDED, small_value=None, hyperplane_count=1,
         sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.SINE, monotonic=False, value_range=_R(-1.0, 1.0),
+        ActivationId.SINE, _sine, monotonic=False, value_range=_R(-1.0, 1.0),
         small_value=(0.0, 1.0), hyperplane_count=COUNTABLY_INFINITE, xor_property=True),
     ActivationDescriptor(
-        ActivationId.SQU, monotonic=False, value_range=_R(-0.25, math.inf, True, False),
+        ActivationId.SQU, _squ, monotonic=False, value_range=_R(-0.25, math.inf, True, False),
         small_value=(0.0, 1.0), hyperplane_count=2, xor_property=True),
     ActivationDescriptor(
-        ActivationId.MONOTONIC_CUBIC, monotonic=True, value_range=_UNBOUNDED,
+        ActivationId.MONOTONIC_CUBIC, _monotonic_cubic, monotonic=True, value_range=_UNBOUNDED,
         small_value=(0.0, 1.0), hyperplane_count=1, sign_equivalent_identity=True),
     ActivationDescriptor(
-        ActivationId.NCU, monotonic=False, value_range=_UNBOUNDED,
+        ActivationId.NCU, _ncu, monotonic=False, value_range=_UNBOUNDED,
         small_value=(0.0, 1.0), hyperplane_count=3, xor_property=True),
     ActivationDescriptor(
-        ActivationId.Z_SQ_COS, monotonic=False, value_range=_UNBOUNDED,
+        ActivationId.Z_SQ_COS, _z_sq_cos, monotonic=False, value_range=_UNBOUNDED,
         small_value=(0.0, 0.0),  # z^2 cos z ~ z^2
         hyperplane_count=COUNTABLY_INFINITE),
     ActivationDescriptor(
-        ActivationId.SSU, monotonic=False, value_range=_R(_SSU_MIN, math.pi),
+        ActivationId.SSU, _ssu, monotonic=False, value_range=_R(_SSU_MIN, math.pi),
         small_value=None,  # ~z analytically, but pi*sinc(-pi) is not a float-exact zero
         hyperplane_count=COUNTABLY_INFINITE, xor_property=True),
     ActivationDescriptor(
-        ActivationId.GCU, monotonic=False, value_range=_UNBOUNDED,
+        ActivationId.GCU, _gcu, monotonic=False, value_range=_UNBOUNDED,
         small_value=(0.0, 1.0), hyperplane_count=COUNTABLY_INFINITE, xor_property=True),
     ActivationDescriptor(
-        ActivationId.DSU, monotonic=False, value_range=_R(-_DSU_MAX, _DSU_MAX),
+        ActivationId.DSU, _dsu, monotonic=False, value_range=_R(-_DSU_MAX, _DSU_MAX),
         small_value=(0.0, 1.0), hyperplane_count=COUNTABLY_INFINITE, xor_property=True),
 ]}
 
@@ -525,16 +504,16 @@ def _run(id: ActivationId, z, n: int) -> tuple:
     z = np.asarray(z)
     if z.dtype.kind != "f":
         z = z.astype(np.float64)
-    kernel, params = _KERNELS[id], _CATALOG[id].params
+    kernel = _CATALOG[id].kernel
     if z.nbytes <= CHUNK_BYTES or any(k > 1 and not s for k, s in zip(z.shape, z.strides)):
-        run = kernel(z, params)
+        run = kernel(z)
         return (next(run),) if n == 1 else (next(run), next(run))
     outs = tuple(np.empty_like(z) for _ in range(n))
     src = z.ravel(order="K")  # a view unless z's memory is not one run
     dsts = [out.ravel(order="K") for out in outs]  # always views
     step = CHUNK_BYTES // z.itemsize
     for i in range(0, z.size, step):
-        run = kernel(src[i:i + step], params)
+        run = kernel(src[i:i + step])
         for dst in dsts:  # g, then g'
             dst[i:i + step] = next(run)
     return outs

@@ -227,13 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_properties)
 
     sx = sub.add_parser("xor", help="certify single-neuron XOR learnability")
+    train = xorlab.TrainSpec()
     sx.add_argument("activation", help="activation id, e.g. squ, gcu, tanh")
     sx.add_argument("--out-dir", default="out")
-    sx.add_argument("--lr", type=float, default=0.05)
-    sx.add_argument("--epochs", type=int, default=2000)
-    sx.add_argument("--restarts", type=int, default=20)
-    sx.add_argument("--seed", type=int, default=7)
-    sx.add_argument("--init-scale", type=float, default=1.0)
+    sx.add_argument("--lr", type=float, default=train.learning_rate)
+    sx.add_argument("--epochs", type=int, default=train.epochs)
+    sx.add_argument("--restarts", type=int, default=train.restarts)
+    sx.add_argument("--seed", type=int, default=train.seed)
+    sx.add_argument("--init-scale", type=float, default=train.init_scale)
     sx.add_argument("--bound", type=float, default=5.0)
     sx.add_argument("--resolution", type=float, default=0.1)
     sx.set_defaults(func=cmd_xor)

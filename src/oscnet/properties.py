@@ -47,9 +47,14 @@ class Interval:
         if not (0.0 < self.step < self.hi - self.lo):
             raise ValueError(f"step must lie in (0, hi-lo), got {self.step}")
 
+    @property
+    def size(self) -> float:
+        """Points in ``grid()``: round((hi - lo)/step) + 1, or inf if that overflows."""
+        steps = (self.hi - self.lo) / self.step
+        return round(steps) + 1 if math.isfinite(steps) else math.inf
+
     def grid(self) -> np.ndarray:
-        n = int(round((self.hi - self.lo) / self.step)) + 1
-        return np.linspace(self.lo, self.hi, n)
+        return np.linspace(self.lo, self.hi, self.size)
 
 
 def sign_with_tol(x, tol: float = SIGN_ZERO_TOL):

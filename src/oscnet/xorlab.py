@@ -26,6 +26,10 @@ from .properties import Interval, sign_with_tol
 
 MARGIN_TOL = 1e-6
 
+# The grid search holds about 19 bytes per (w1, w2, b) triple, so 2**25
+# triples (322 points per axis) peak near 640 MB; a finer grid is refused.
+MAX_GRID_TRIPLES = 2 ** 25
+
 _XOR_INPUTS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
 _XOR_LABELS = (-1.0, 1.0, 1.0, -1.0)
 _X, _Y = np.array(_XOR_INPUTS), np.array(_XOR_LABELS)
@@ -91,7 +95,9 @@ def grid_search_certificate(id: ActivationId, bound: float = 5.0,
 
     Returns the best certificate (max correct count, ties broken by larger
     minimum |margin|, then first grid index).  Check ``.valid`` to see whether
-    the activation exhibits the XOR property at this resolution.
+    the activation exhibits the XOR property at this resolution.  Raises
+    ConfigError, before any grid is built, for a grid of more than
+    MAX_GRID_TRIPLES triples.
 
     Every pre-activation is (w1*x1 + w2*x2) + b with x1, x2 = +-1, so g is
     tabulated once on the distinct sums w1*x1 + w2*x2 (905 of the 40 804
@@ -102,7 +108,14 @@ def grid_search_certificate(id: ActivationId, bound: float = 5.0,
     then only the sign of z = 0 (and of g(0) for an odd g): y*(+-0) <=
     MARGIN_TOL and |+-0| = 0 score such a point the same either way.
     """
-    axis = Interval(-bound, bound, resolution).grid()
+    window = Interval(-bound, bound, resolution)
+    n = window.size
+    if n ** 3 > MAX_GRID_TRIPLES:
+        raise ConfigError(
+            f"XOR grid with --bound {bound!r} and --resolution {resolution!r} has "
+            f"{n:,} points per axis, {n ** 3:,} (w1, w2, b) triples, "
+            f"over the limit of {MAX_GRID_TRIPLES:,}; lower --bound or raise --resolution")
+    axis = window.grid()
     sums = np.stack([axis[:, None] * x1 + axis * x2 for x1, x2 in _XOR_INPUTS])
     distinct, rows = np.unique(sums, return_inverse=True)
     table = apply(id, distinct[:, None] + axis)  # table[u, k] = g(distinct[u] + axis[k])

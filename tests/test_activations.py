@@ -1,5 +1,6 @@
 """Catalog correctness: formulas, derivatives, metadata, numerical safety."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,6 +26,14 @@ from oscnet.activations import (
 from oscnet.errors import DomainError, KinkError
 
 A = ActivationId
+
+# (params, value_range) -> [(z, g(z))]: points where g is fixed by its params
+PARAM_POINTS = {
+    A.LEAKY_RELU: lambda p, r: [(-2.0, -2.0 * p["negative_slope"])],
+    A.PRELU: lambda p, r: [(-2.0, -2.0 * p["alpha"])],
+    A.SELU: lambda p, r: [(1.0, p["scale"]), (-50.0, -p["scale"] * p["alpha"])],
+    A.SOFT_ROOT_SIGN: lambda p, r: [(-p["beta"], r.lo)],  # the minimum, at z = -beta
+}
 
 
 class TestSinc:
@@ -150,6 +159,13 @@ class TestDescriptor:
         assert descriptor(A.DSU).small_value == (0.0, 1.0)
         assert descriptor(A.MISH).small_value == (0.0, 0.6)  # tanh(ln 2) = 3/5
         assert descriptor(A.RELU).small_value is None
+
+    @pytest.mark.parametrize("id", [i for i in all_ids() if descriptor(i).params])
+    def test_kernels_use_the_params_they_report(self, id):
+        """properties.json prints each entry's params; its kernel must compute with them."""
+        d = descriptor(id)
+        for z, want in PARAM_POINTS[id](d.params, d.value_range):
+            assert evaluate(id, z) == pytest.approx(want, rel=1e-12, abs=0.0), (id, z)
 
     @pytest.mark.parametrize(
         "id", [i for i in all_ids() if descriptor(i).small_value == (0.0, 1.0)])
@@ -277,13 +293,14 @@ class TestChunkedEvaluation:
 
     def test_large_inputs_run_in_one_d_chunks(self, monkeypatch):
         seen = []
-        kernel = activations._KERNELS[A.GCU]
+        entry = activations._CATALOG[A.GCU]
 
-        def recording(z, p):
+        def recording(z):
             seen.append(z.shape)
-            return kernel(z, p)
+            return entry.kernel(z)
 
-        monkeypatch.setitem(activations._KERNELS, A.GCU, recording)
+        monkeypatch.setitem(activations._CATALOG, A.GCU,
+                            dataclasses.replace(entry, kernel=recording))
         monkeypatch.setattr(activations, "CHUNK_BYTES", 3 * 8)
         z = np.linspace(-4.0, 4.0, 10).reshape(2, 5)
         np.testing.assert_array_equal(apply(A.GCU, z), z * np.cos(z))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from oscnet import xorlab
 from oscnet.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -13,6 +14,7 @@ from oscnet.cli import (
     EXIT_XOR,
     main,
 )
+from oscnet.properties import Interval
 
 
 def run(argv):
@@ -74,6 +76,21 @@ class TestXor:
         assert run(["xor", "tanh", "--out-dir", tmp_path, "--epochs", "20", "--restarts", "1"]
                    + flags) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--resolution", "0.01"],  # 1001 points per axis: about 1e9 triples, ~19 GB
+        ["--bound", "1e300", "--resolution", "1e-300"],  # the point count overflows
+    ])
+    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch,
+                                                          flags):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the XOR grid was built or evaluated")
+
+        monkeypatch.setattr(xorlab, "apply", no_grid)
+        monkeypatch.setattr(Interval, "grid", no_grid)
+        assert run(["xor", "tanh", "--out-dir", tmp_path] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--bound" in err and "--resolution" in err and "triples" in err
 
     def test_unknown_activation_is_a_config_error(self, tmp_path, capsys):
         assert run(["xor", "sigmoid_sine", "--out-dir", tmp_path]) == EXIT_CONFIG

@@ -37,6 +37,16 @@ class TestInterval:
         g = Interval(-1.0, 1.0, 0.5).grid()
         np.testing.assert_allclose(g, [-1, -0.5, 0, 0.5, 1])
 
+    @pytest.mark.parametrize("lo,hi,step,size", [
+        (-1.0, 1.0, 0.5, 5), (-5.0, 5.0, 0.1, 101), (-7.3, 7.3, 0.13, 113),
+        (-1e300, 1e300, 1e-300, math.inf),  # (hi - lo)/step overflows
+    ])
+    def test_size_counts_the_grid(self, lo, hi, step, size):
+        iv = Interval(lo, hi, step)
+        assert iv.size == size
+        if math.isfinite(size):
+            assert iv.grid().size == size
+
     @pytest.mark.parametrize("lo,hi,step", [
         (1, 0, 0.1), (0, 1, 0), (0, 1, 2),
         (-np.inf, 1, 0.1), (0, np.inf, 0.1), (-np.inf, np.inf, 0.1), (np.nan, 1, 0.1),

@@ -175,6 +175,16 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_certificate(A.TANH, bound, resolution)
 
+    def test_refuses_a_grid_just_over_the_triple_limit(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built or evaluated")
+
+        monkeypatch.setattr(xorlab, "apply", no_grid)
+        monkeypatch.setattr(Interval, "grid", no_grid)
+        assert 322 ** 3 <= xorlab.MAX_GRID_TRIPLES < 323 ** 3
+        with pytest.raises(ConfigError, match="has 323 points per axis"):
+            grid_search_certificate(A.TANH, 16.1, 0.1)
+
     @pytest.mark.parametrize("id,w,b,margins,correct", [
         # relu is never negative, so its best triple scores only the two +1 points
         (A.RELU, (0.0, 0.0), 5.0, (5.0, 5.0, 5.0, 5.0), 2),
