@@ -54,12 +54,16 @@ def decode_records(buf: bytes, source: str = "record stream"):
     return images, labels
 
 
-def encode_record(label: int, image: np.ndarray) -> bytes:
-    """Inverse of decode: one (3,32,32) [0,1] image back to 3073 bytes."""
+def _record(label: int, pixels: np.ndarray) -> bytes:
+    """The label byte followed by the 3072 uint8 pixel bytes."""
     if not (0 <= int(label) < NUM_CLASSES):
         raise ConfigError(f"label must be in [0, {NUM_CLASSES}), got {label}")
-    pixels = np.rint(np.asarray(image, dtype=np.float64) * 255.0).astype(np.uint8)
     return bytes([int(label)]) + pixels.tobytes()
+
+
+def encode_record(label: int, image: np.ndarray) -> bytes:
+    """Inverse of decode: one (3,32,32) [0,1] image back to 3073 bytes."""
+    return _record(label, np.rint(np.asarray(image, dtype=np.float64) * 255.0).astype(np.uint8))
 
 
 def synthetic_check_image(kind: str, label: int, value: int = 0) -> bytes:
@@ -69,8 +73,6 @@ def synthetic_check_image(kind: str, label: int, value: int = 0) -> bytes:
     deterministic position-dependent ramp (byte i of the pixel plane stream is
     i mod 256).
     """
-    if not (0 <= int(label) < NUM_CLASSES):
-        raise ConfigError(f"label must be in [0, {NUM_CLASSES}), got {label}")
     if kind == "constant":
         if not (0 <= int(value) <= 255):
             raise ConfigError(f"constant value must be a byte, got {value}")
@@ -79,7 +81,7 @@ def synthetic_check_image(kind: str, label: int, value: int = 0) -> bytes:
         pixels = (np.arange(RECORD_BYTES - 1) % 256).astype(np.uint8)
     else:
         raise ConfigError(f"kind must be 'constant' or 'gradient', got {kind!r}")
-    return bytes([int(label)]) + pixels.tobytes()
+    return _record(label, pixels)
 
 
 def _resolve_dir(path) -> Path:

@@ -61,7 +61,7 @@ def cmd_properties(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = properties.verify_catalog()
-    (out / "properties.json").write_text(properties.report_to_json(rows) + "\n")
+    _write_json(out / "properties.json", properties.report_payload(rows))
     properties.write_report_csv(rows, out / "properties.csv")
     failures = [(r.id.value, c) for r in rows for c in r.contradictions]
     for ident, prop in failures:
@@ -72,12 +72,13 @@ def cmd_properties(args) -> int:
 
 
 def cmd_xor(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ident = _parse_one_activation(args.activation)
     spec = xorlab.TrainSpec(learning_rate=args.lr, epochs=args.epochs,
                             restarts=args.restarts, seed=args.seed,
                             init_scale=args.init_scale)
+    xorlab.grid_window(args.bound, args.resolution)  # a bad grid flag exits before training
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     cert, _trace = xorlab.train_single_neuron(ident, spec)
     trained = cert.valid
     source = "trained"
@@ -87,7 +88,7 @@ def cmd_xor(args) -> int:
             cert, source = grid_cert, "grid"
 
     stem = out / f"xor_{ident.value}"
-    xorlab.write_certificate_json(f"{stem}_certificate.json", cert, source=source)
+    _write_json(Path(f"{stem}_certificate.json"), xorlab.certificate_to_dict(cert, source))
     xorlab.write_boundary_csv(f"{stem}_boundary.csv", cert.neuron)
     if cert.valid:
         print(f"xor {ident.value}: valid certificate via {source} "
@@ -144,7 +145,10 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench needs --data-dir or OSC_DATA_DIR")
     for name in ("epochs", "batch", "lr"):
         require_positive(name, getattr(args, name))
-    depths = [int(x) for x in args.conv_layers.split(",")]
+    try:
+        depths = [int(x) for x in args.conv_layers.split(",")]
+    except ValueError:
+        raise ConfigError(f"--conv-layers must be comma-separated integers, got {args.conv_layers!r}")
     cells = [NetworkConfig(depth, activation, seed=args.seed)  # checks every depth before any I/O
              for activation in _parse_activations(args.activations) for depth in depths]
     out = Path(args.out_dir)
@@ -235,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sx.add_argument("--restarts", type=int, default=train.restarts)
     sx.add_argument("--seed", type=int, default=train.seed)
     sx.add_argument("--init-scale", type=float, default=train.init_scale)
-    sx.add_argument("--bound", type=float, default=5.0)
-    sx.add_argument("--resolution", type=float, default=0.1)
+    sx.add_argument("--bound", type=float, default=xorlab.GRID_BOUND)
+    sx.add_argument("--resolution", type=float, default=xorlab.GRID_RESOLUTION)
     sx.set_defaults(func=cmd_xor)
 
     sb = sub.add_parser("bench", help="run the CNN benchmark matrix")
@@ -270,9 +274,6 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # invalid flag values caught in the library (Interval, ...)
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":  # pragma: no cover

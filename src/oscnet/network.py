@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers
+from . import cifar, layers
 from .activations import ActivationId
 from .errors import ConfigError, DivergenceError, ShapeError
 
 CONV_CHANNELS = (32, 64, 128, 128)
 PENULTIMATE_UNITS = 64
-NUM_CLASSES = 10
 DROPOUT_RATE = 0.5
+EVAL_BATCH = 256
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -58,8 +58,8 @@ def adam_init(params: dict) -> AdamState:
         v={k: np.zeros_like(v) for k, v in params.items()})
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
-    """One bias-corrected Adam update, in place.  Returns (params, state)."""
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
@@ -72,7 +72,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         v *= b2
         v += (1.0 - b2) * np.square(g)
         params[k] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return params, state
 
 
 class Conv2d:
@@ -131,11 +130,8 @@ class Flatten:
 
 
 class Dropout:
-    def __init__(self, rate: float):
-        self.rate = rate
-
     def forward(self, x, params, train, rng, with_cache):
-        return layers.dropout_forward(x, self.rate, train, rng)
+        return layers.dropout_forward(x, DROPOUT_RATE, train, rng)
 
     def backward(self, dy, cache, grads):
         return layers.dropout_backward(dy, cache)
@@ -175,8 +171,8 @@ def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def build_model(cfg: NetworkConfig, input_shape: tuple = (3, 32, 32),
-                num_classes: int = NUM_CLASSES, dtype=np.float32) -> Model:
+def build_model(cfg: NetworkConfig, input_shape: tuple = cifar.IMAGE_SHAPE,
+                num_classes: int = cifar.NUM_CLASSES, dtype=np.float32) -> Model:
     """Materialize the architecture family for a given depth and activation.
 
     Parameter names count two slots per block (conv with its activation, then
@@ -201,7 +197,7 @@ def build_model(cfg: NetworkConfig, input_shape: tuple = (3, 32, 32),
         c, h, w = out, h // 2, w // 2
     flat, top, units = c * h * w, 2 * cfg.conv_layers, PENULTIMATE_UNITS
     stack += [Flatten(), affine(Dense(f"layer{top + 1}"), (flat, units), flat, units),
-              Activation(cfg.activation), Dropout(DROPOUT_RATE),
+              Activation(cfg.activation), Dropout(),
               affine(Dense(f"layer{top + 3}"), (units, num_classes), units, num_classes)]
     return Model(stack, params)
 
@@ -239,8 +235,7 @@ def train_epoch(model: Model, images: np.ndarray, labels: np.ndarray,
     return total / n
 
 
-def evaluate_top1(model: Model, images: np.ndarray, labels: np.ndarray,
-                  batch: int = 256) -> float:
+def evaluate_top1(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of samples whose argmax logit equals the label.
 
     Ties break to the lowest class index (argmax returns the first maximum).
@@ -248,8 +243,9 @@ def evaluate_top1(model: Model, images: np.ndarray, labels: np.ndarray,
     """
     n = _dataset_size(images, labels, "evaluate_top1")
     hits = 0
-    for start in range(0, n, batch):
-        logits = model.forward(images[start:start + batch], train=False)
-        hit = (logits.argmax(axis=1) == labels[start:start + batch]) & np.isfinite(logits).all(axis=1)
+    for start in range(0, n, EVAL_BATCH):
+        stop = start + EVAL_BATCH
+        logits = model.forward(images[start:stop], train=False)
+        hit = (logits.argmax(axis=1) == labels[start:stop]) & np.isfinite(logits).all(axis=1)
         hits += int(hit.sum())
     return hits / n

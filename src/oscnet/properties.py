@@ -1,17 +1,16 @@
 """Numerical verification of the catalogued activation properties.
 
 Grid scans are resolution-limited evidence, not proofs: a scan over [lo, hi]
-with step h can only witness behaviour at its gridpoints.  Default step is
-1e-3.  The sign-of-zero convention is sign(x) = 0 iff |x| <= 1e-12, except on
-the function-value side of the sign-equivalence scan, where the exact float
-sign is used so that exponentially small tails (e.g. GELU below -7) keep
-their sign instead of being flushed to zero.
+with step h can only witness behaviour at its gridpoints; the catalog scans
+use step 1e-3.  The sign-of-zero convention is sign(x) = 0 iff |x| <= 1e-12,
+except on the function-value side of the sign-equivalence scan, where the
+exact float sign is used so that exponentially small tails (e.g. GELU below
+-7) keep their sign instead of being flushed to zero.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,11 +25,13 @@ from .activations import (
     descriptor,
 )
 from .activations import derivative  # noqa: F401  perfbench/spans.py hooks properties.derivative by name
-from .errors import UnsupportedPropertyError
+from .errors import ConfigError, UnsupportedPropertyError
 
 SIGN_ZERO_TOL = 1e-12
 RANGE_ENDPOINT_TOL = 0.01  # a closed finite range endpoint must be matched this closely
 MAX_REPORTED_VIOLATIONS = 5
+GRADIENT_CHECK_STEP = 1e-5  # central-difference half-width h
+KINK_GUARD = 1e-3  # gradient-check samples stay this far from every kink
 
 
 @dataclass(frozen=True)
@@ -39,13 +40,13 @@ class Interval:
 
     lo: float
     hi: float
-    step: float = 1e-3
+    step: float
 
     def __post_init__(self):
         if not (self.lo < self.hi and np.isfinite(self.hi - self.lo)):
-            raise ValueError(f"interval requires finite lo < hi, got [{self.lo}, {self.hi}]")
+            raise ConfigError(f"interval requires finite lo < hi, got [{self.lo}, {self.hi}]")
         if not (0.0 < self.step < self.hi - self.lo):
-            raise ValueError(f"step must lie in (0, hi-lo), got {self.step}")
+            raise ConfigError(f"step must lie in (0, hi-lo), got {self.step}")
 
     @property
     def size(self) -> float:
@@ -57,10 +58,10 @@ class Interval:
         return np.linspace(self.lo, self.hi, self.size)
 
 
-def sign_with_tol(x, tol: float = SIGN_ZERO_TOL):
-    """Sign with a dead zone: 0 wherever |x| <= tol."""
+def sign_with_tol(x):
+    """Sign with a dead zone: 0 wherever |x| <= SIGN_ZERO_TOL."""
     x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= tol, 0.0, np.sign(x))
+    return np.where(np.abs(x) <= SIGN_ZERO_TOL, 0.0, np.sign(x))
 
 
 @dataclass(frozen=True)
@@ -106,20 +107,20 @@ class GradientCheckReport:
 
 
 def gradient_check(id: ActivationId, iv: Interval, n: int = 1000,
-                   tol: float = 1e-5, h: float = 1e-5,
-                   guard: float = 1e-3) -> GradientCheckReport:
+                   tol: float = 1e-5) -> GradientCheckReport:
     """Compare the analytic derivative against a central difference.
 
-    Sample points exclude every kink plus a guard band of ``guard`` around it.
-    Relative error uses denominator max(1, |g'(z)|).
+    Samples n evenly spaced points on [iv.lo, iv.hi] (``iv.step`` is unused),
+    dropping those within KINK_GUARD of a kink.  Relative error uses
+    denominator max(1, |g'(z)|).
     """
     kinks = descriptor(id).nondifferentiable_points
     z = np.linspace(iv.lo, iv.hi, n)
     for k in kinks:
-        z = z[np.abs(z - k) > guard]
+        z = z[np.abs(z - k) > KINK_GUARD]
 
     analytic = apply_grad(id, z)
-    zp, zm = z + h, z - h
+    zp, zm = z + GRADIENT_CHECK_STEP, z - GRADIENT_CHECK_STEP
     numeric = (apply(id, zp) - apply(id, zm)) / (zp - zm)  # slope over the realized interval
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
     worst = int(np.argmax(rel)) if rel.size else 0
@@ -289,31 +290,29 @@ def _range_to_json(r) -> dict:
             "lo_closed": r.lo_closed, "hi_closed": r.hi_closed}
 
 
-def verify_activation(id: ActivationId,
-                      scan: Interval = DEFAULT_SCAN,
-                      range_scan_iv: Interval = DEFAULT_RANGE_SCAN) -> PropertyRow:
+def verify_activation(id: ActivationId) -> PropertyRow:
     """Run every scan for one id and diff the results against its descriptor."""
     id = ActivationId(id)
     d = descriptor(id)
     contradictions = []
 
-    cont = continuity_scan(id, scan)
+    cont = continuity_scan(id, DEFAULT_SCAN)
     if cont.continuous != d.continuous:
         contradictions.append("continuity")
 
-    mono = monotonicity_scan(id, scan)
+    mono = monotonicity_scan(id, DEFAULT_SCAN)
     if mono.nondecreasing != d.monotonic:
         contradictions.append("monotonicity")
 
-    rng = range_scan(id, range_scan_iv)
+    rng = range_scan(id, DEFAULT_RANGE_SCAN)
     if not rng.passed:
         contradictions.append("range")
 
-    sign_eq = sign_equivalence_scan(id, scan)
+    sign_eq = sign_equivalence_scan(id, DEFAULT_SCAN)
     if sign_eq.equivalent != d.sign_equivalent_identity:
         contradictions.append("sign_equivalence")
 
-    zc = zero_crossings(id, scan)
+    zc = zero_crossings(id, DEFAULT_SCAN)
     if id in EXPECTED_CROSSINGS and zc.count != EXPECTED_CROSSINGS[id]:
         contradictions.append("zero_crossings")
 
@@ -352,17 +351,17 @@ def verify_activation(id: ActivationId,
     return PropertyRow(id, fields, measured, tuple(contradictions))
 
 
-def verify_catalog(ids=None) -> list[PropertyRow]:
-    return [verify_activation(i) for i in (ids or all_ids())]
+def verify_catalog() -> list[PropertyRow]:
+    return [verify_activation(i) for i in all_ids()]
 
 
-def report_to_json(rows: list[PropertyRow]) -> str:
-    payload = [
+def report_payload(rows: list[PropertyRow]) -> list[dict]:
+    """The rows as `properties.json` lists them."""
+    return [
         {"id": r.id.value, "descriptor": r.descriptor_fields,
          "measured": r.measured, "contradictions": list(r.contradictions)}
         for r in rows
     ]
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 _CSV_COLUMNS = [

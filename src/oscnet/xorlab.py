@@ -15,7 +15,6 @@ triple.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,16 @@ from .properties import Interval, sign_with_tol
 
 MARGIN_TOL = 1e-6
 
+# The default XOR grid, [-5, 5] at step 0.1: 101 points per axis.
+GRID_BOUND = 5.0
+GRID_RESOLUTION = 0.1
+
 # The grid search holds about 19 bytes per (w1, w2, b) triple, so 2**25
 # triples (322 points per axis) peak near 640 MB; a finer grid is refused.
 MAX_GRID_TRIPLES = 2 ** 25
+
+# The decision-boundary CSV samples sign(g) on this axis for x1 and for x2.
+BOUNDARY_AXIS = np.linspace(-2.0, 2.0, 101)
 
 _XOR_INPUTS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
 _XOR_LABELS = (-1.0, 1.0, 1.0, -1.0)
@@ -41,9 +47,6 @@ class XorDataset:
 
     inputs: tuple = _XOR_INPUTS
     labels: tuple = _XOR_LABELS
-
-    def __len__(self) -> int:
-        return 4
 
 
 def xor_dataset() -> XorDataset:
@@ -89,15 +92,31 @@ def _certificate_for(id: ActivationId, w1: float, w2: float, b: float) -> XorCer
     return XorCertificate(neuron, margins, int(_point_correct(_Y, np.array(margins)).sum()))
 
 
-def grid_search_certificate(id: ActivationId, bound: float = 5.0,
-                            resolution: float = 0.1) -> XorCertificate:
+def grid_window(bound: float, resolution: float) -> Interval:
+    """[-bound, bound] at step ``resolution``.  Raises ConfigError, naming both
+    flags, for an empty or non-finite window or over MAX_GRID_TRIPLES triples."""
+    flags = f"XOR grid with --bound {bound!r} and --resolution {resolution!r}"
+    try:
+        window = Interval(-bound, bound, resolution)
+    except ConfigError as exc:
+        raise ConfigError(f"{flags}: {exc}") from None
+    n = window.size
+    if n ** 3 > MAX_GRID_TRIPLES:
+        raise ConfigError(
+            f"{flags} has {n:,} points per axis, {n ** 3:,} (w1, w2, b) triples, "
+            f"over the limit of {MAX_GRID_TRIPLES:,}; lower --bound or raise --resolution")
+    return window
+
+
+def grid_search_certificate(id: ActivationId, bound: float = GRID_BOUND,
+                            resolution: float = GRID_RESOLUTION) -> XorCertificate:
     """Exhaustively score every (w1, w2, b) triple in [-bound, bound]^3.
 
     Returns the best certificate (max correct count, ties broken by larger
     minimum |margin|, then first grid index).  Check ``.valid`` to see whether
-    the activation exhibits the XOR property at this resolution.  Raises
-    ConfigError, before any grid is built, for a grid of more than
-    MAX_GRID_TRIPLES triples.
+    the activation exhibits the XOR property at this resolution.  The window
+    comes from ``grid_window``, so a bad one raises ConfigError before any
+    grid is built.
 
     Every pre-activation is (w1*x1 + w2*x2) + b with x1, x2 = +-1, so g is
     tabulated once on the distinct sums w1*x1 + w2*x2 (905 of the 40 804
@@ -108,14 +127,7 @@ def grid_search_certificate(id: ActivationId, bound: float = 5.0,
     then only the sign of z = 0 (and of g(0) for an odd g): y*(+-0) <=
     MARGIN_TOL and |+-0| = 0 score such a point the same either way.
     """
-    window = Interval(-bound, bound, resolution)
-    n = window.size
-    if n ** 3 > MAX_GRID_TRIPLES:
-        raise ConfigError(
-            f"XOR grid with --bound {bound!r} and --resolution {resolution!r} has "
-            f"{n:,} points per axis, {n ** 3:,} (w1, w2, b) triples, "
-            f"over the limit of {MAX_GRID_TRIPLES:,}; lower --bound or raise --resolution")
-    axis = window.grid()
+    axis = grid_window(bound, resolution).grid()
     sums = np.stack([axis[:, None] * x1 + axis * x2 for x1, x2 in _XOR_INPUTS])
     distinct, rows = np.unique(sums, return_inverse=True)
     table = apply(id, distinct[:, None] + axis)  # table[u, k] = g(distinct[u] + axis[k])
@@ -188,27 +200,22 @@ def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
     return best, best_trace
 
 
-def decision_boundary_grid(neuron: SingleNeuron, lo: float = -2.0, hi: float = 2.0,
-                           resolution: int = 101) -> np.ndarray:
-    """resolution x resolution matrix of sign(g(w.x+b)); row i is x1, column j is x2."""
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    axis = np.linspace(lo, hi, resolution)
-    z = neuron.w[0] * axis[:, None] + neuron.w[1] * axis + neuron.b
+def decision_boundary_grid(neuron: SingleNeuron) -> np.ndarray:
+    """sign(g(w.x+b)) on BOUNDARY_AXIS x BOUNDARY_AXIS; row i is x1, column j is x2."""
+    z = neuron.w[0] * BOUNDARY_AXIS[:, None] + neuron.w[1] * BOUNDARY_AXIS + neuron.b
     return sign_with_tol(apply(neuron.activation, z)).astype(np.int8)
 
 
-def write_boundary_csv(path, neuron: SingleNeuron, lo: float = -2.0, hi: float = 2.0,
-                       resolution: int = 101) -> None:
-    grid = decision_boundary_grid(neuron, lo, hi, resolution)
-    axis = [repr(float(v)) for v in np.linspace(lo, hi, resolution)]
+def write_boundary_csv(path, neuron: SingleNeuron) -> None:
+    grid = decision_boundary_grid(neuron)
+    axis = [repr(v) for v in BOUNDARY_AXIS.tolist()]
     with open(path, "w") as fh:
         fh.write("x1,x2,sign\n")
         for a, signs in zip(axis, grid.tolist()):
             fh.write("".join(f"{a},{c},{s}\n" for c, s in zip(axis, signs)))
 
 
-def certificate_to_dict(cert: XorCertificate, source: str = "grid") -> dict:
+def certificate_to_dict(cert: XorCertificate, source: str) -> dict:
     return {
         "activation": cert.neuron.activation.value,
         "w": [cert.neuron.w[0], cert.neuron.w[1]],
@@ -218,9 +225,3 @@ def certificate_to_dict(cert: XorCertificate, source: str = "grid") -> dict:
         "valid": cert.valid,
         "source": source,
     }
-
-
-def write_certificate_json(path, cert: XorCertificate, source: str = "grid") -> None:
-    with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert, source), fh, indent=2, sort_keys=True)
-        fh.write("\n")

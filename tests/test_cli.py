@@ -92,6 +92,21 @@ class TestXor:
         err = capsys.readouterr().err
         assert "--bound" in err and "--resolution" in err and "triples" in err
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--bound", "-1"], "--bound -1.0"),
+        (["--resolution", "0.001"], "--resolution 0.001"),  # 10 001 points per axis, 1.0e12 triples
+    ])
+    def test_bad_grid_flag_exits_before_training(self, tmp_path, capsys, monkeypatch, flags, named):
+        """squ trains to a certificate, so the grid never runs; its flags are checked anyway."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("the neuron was trained")
+
+        monkeypatch.setattr(xorlab, "train_single_neuron", no_training)
+        out = tmp_path / "o"
+        assert run(["xor", "squ", "--out-dir", out] + flags) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_activation_is_a_config_error(self, tmp_path, capsys):
         assert run(["xor", "sigmoid_sine", "--out-dir", tmp_path]) == EXIT_CONFIG
         assert "unknown activation" in capsys.readouterr().err
@@ -187,11 +202,28 @@ class TestBench:
         assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", tmp_path,
                     "--conv-layers", "9"]) == EXIT_CONFIG
 
+    def test_non_integer_depth_is_a_config_error_naming_the_flag(self, tmp_path, capsys):
+        # a missing archive would exit EXIT_DATA if it were read first
+        assert run(["bench", "--data-dir", tmp_path / "absent", "--out-dir", tmp_path / "o",
+                    "--conv-layers", "1,x"]) == EXIT_CONFIG
+        assert "--conv-layers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_depth_fails_before_any_data_is_read(self, tmp_path):
         # a missing archive would exit EXIT_DATA if it were read first
         assert run(["bench", "--data-dir", tmp_path / "absent", "--out-dir", tmp_path / "o",
                     "--activations", "relu", "--conv-layers", "2,9"]) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
+
+
+def test_a_value_error_inside_a_command_is_not_a_config_error(tmp_path, monkeypatch):
+    """Only ConfigError maps to exit 2; any other ValueError is a fault and propagates."""
+    def broken(*args, **kwargs):
+        raise ValueError("not a flag problem")
+
+    monkeypatch.setattr(xorlab, "train_single_neuron", broken)
+    with pytest.raises(ValueError, match="not a flag problem"):
+        run(["xor", "squ", "--out-dir", tmp_path])
 
 
 class TestEmitPlots:

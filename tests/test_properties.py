@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oscnet.activations import ActivationId, all_ids, apply, descriptor
-from oscnet.errors import UnsupportedPropertyError
+from oscnet.errors import ConfigError, UnsupportedPropertyError
 from oscnet.properties import (
     DEFAULT_RANGE_SCAN,
     DEFAULT_SCAN,
@@ -25,6 +25,7 @@ from oscnet.properties import (
     sign_equivalence_scan,
     sign_with_tol,
     small_value_check,
+    verify_activation,
     verify_catalog,
     zero_crossings,
 )
@@ -53,7 +54,7 @@ class TestInterval:
         (-1e308, 1e308, 1e307),  # finite ends, but the width overflows
     ])
     def test_rejects_bad_bounds(self, lo, hi, step):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Interval(lo, hi, step)
 
 
@@ -253,7 +254,7 @@ class TestCatalogReport:
         assert bad == []
 
     def test_report_shape(self):
-        rows = verify_catalog([A.SQU, A.GCU])
+        rows = [verify_activation(A.SQU), verify_activation(A.GCU)]
         assert [r.id for r in rows] == [A.SQU, A.GCU]
         assert rows[0].measured["zero_crossings"] == 2
         assert rows[0].descriptor_fields["xor_property"] is True

@@ -7,6 +7,7 @@ import pytest
 
 from oscnet import xorlab
 from oscnet.activations import ActivationId, apply, apply_grad, apply_with_grad, descriptor
+from oscnet.cli import _write_json
 from oscnet.errors import ConfigError
 from oscnet.properties import Interval
 from oscnet.xorlab import (
@@ -19,7 +20,6 @@ from oscnet.xorlab import (
     neuron_forward,
     train_single_neuron,
     write_boundary_csv,
-    write_certificate_json,
     xor_dataset,
 )
 
@@ -79,11 +79,11 @@ def reference_grid_search(id, bound=5.0, resolution=0.1):
     return _certificate_for(id, axis[i], axis[j], axis[k])
 
 
-def reference_boundary_csv(path, neuron, lo=-2.0, hi=2.0, resolution=101):
+def reference_boundary_csv(path, neuron, resolution):
     """The boundary CSV writer as it was before rows were joined: one repr
-    pair and one write per cell."""
-    grid = decision_boundary_grid(neuron, lo, hi, resolution)
-    axis = [float(v) for v in np.linspace(lo, hi, resolution)]
+    pair and one write per cell, with an axis of its own."""
+    grid = decision_boundary_grid(neuron)
+    axis = [float(v) for v in np.linspace(-2.0, 2.0, resolution)]
     with open(path, "w") as fh:
         fh.write("x1,x2,sign\n")
         for i, a in enumerate(axis):
@@ -94,7 +94,7 @@ def reference_boundary_csv(path, neuron, lo=-2.0, hi=2.0, resolution=101):
 class TestDataset:
     def test_canonical_four_points(self):
         ds = xor_dataset()
-        assert len(ds) == 4
+        assert len(ds.inputs) == len(ds.labels) == 4
         assert ds.inputs == ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
         assert ds.labels == (-1.0, 1.0, 1.0, -1.0)
 
@@ -348,8 +348,8 @@ class TestBoundaryGrid:
         return SingleNeuron((1.1, -1.0), -0.5, A.SQU)
 
     def test_xor_cells_match_labels(self):
-        grid = decision_boundary_grid(self._certified_squ(), -2.0, 2.0, 101)
-        axis = np.linspace(-2, 2, 101)
+        grid = decision_boundary_grid(self._certified_squ())
+        axis = xorlab.BOUNDARY_AXIS
         idx = {v: int(np.argmin(np.abs(axis - v))) for v in (-1.0, 1.0)}
         ds = xor_dataset()
         for (x1, x2), y in zip(ds.inputs, ds.labels):
@@ -361,33 +361,31 @@ class TestBoundaryGrid:
 
     def test_ncu_cell_example(self):
         n = SingleNeuron((0.5, -0.5), -0.5, A.NCU)
-        grid = decision_boundary_grid(n, -2.0, 2.0, 101)
+        grid = decision_boundary_grid(n)
         assert grid[25, 75] == 1  # x=(-1,1): g(-1.5) = 1.875 > 0
-
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            decision_boundary_grid(self._certified_squ(), resolution=1)
 
 
 class TestExports:
     def test_certificate_json_roundtrip(self, tmp_path):
         cert, _ = train_single_neuron(A.SQU, TrainSpec())
         path = tmp_path / "cert.json"
-        write_certificate_json(path, cert, source="trained")
+        _write_json(path, certificate_to_dict(cert, "trained"))
         loaded = json.loads(path.read_text())
-        assert loaded["activation"] == "squ"
+        assert loaded["activation"] == "squ" and loaded["source"] == "trained"
         assert loaded["correct"] == 4 and loaded["valid"] is True
         assert loaded["margins"] == list(cert.margins)
         assert loaded["w"] == [cert.neuron.w[0], cert.neuron.w[1]]
+        assert loaded["b"] == cert.neuron.b
 
     def test_boundary_csv_header_and_size(self, tmp_path):
         path = tmp_path / "grid.csv"
-        write_boundary_csv(path, SingleNeuron((1.1, -1.0), -0.5, A.SQU), resolution=11)
+        write_boundary_csv(path, SingleNeuron((1.1, -1.0), -0.5, A.SQU))
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,sign"
-        assert len(lines) == 1 + 11 * 11
-        first = lines[1].split(",")
+        assert len(lines) == 1 + 101 * 101
+        first, last = lines[1].split(","), lines[-1].split(",")
         assert (float(first[0]), float(first[1])) == (-2.0, -2.0)
+        assert (float(last[0]), float(last[1])) == (2.0, 2.0)
         assert int(first[2]) in (-1, 0, 1)
 
     @pytest.mark.parametrize("resolution", [2, 11, 101])
@@ -396,7 +394,10 @@ class TestExports:
         SingleNeuron((-3.5, -2.9), 1.1000000000000005, A.DSU),
         SingleNeuron((0.0, 0.0), 0.0, A.IDENTITY),  # every cell has sign 0
     ], ids=lambda n: n.activation.value)
-    def test_boundary_csv_bytes_match_the_reference(self, tmp_path, neuron, resolution):
-        write_boundary_csv(tmp_path / "new.csv", neuron, resolution=resolution)
-        reference_boundary_csv(tmp_path / "ref.csv", neuron, resolution=resolution)
+    def test_boundary_csv_bytes_match_the_reference(self, tmp_path, monkeypatch, neuron, resolution):
+        """101 is the writer's axis; 2 and 11 points swap in other axes, whose
+        values print differently, to check that the joined rows format any axis."""
+        monkeypatch.setattr(xorlab, "BOUNDARY_AXIS", np.linspace(-2.0, 2.0, resolution))
+        write_boundary_csv(tmp_path / "new.csv", neuron)
+        reference_boundary_csv(tmp_path / "ref.csv", neuron, resolution)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
