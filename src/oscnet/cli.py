@@ -80,9 +80,8 @@ def cmd_xor(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cert, _trace = xorlab.train_single_neuron(ident, spec)
-    trained = cert.valid
     source = "trained"
-    if not trained:
+    if not cert.valid and not xorlab.xor_ruled_out(ident):
         grid_cert = xorlab.grid_search_certificate(ident, args.bound, args.resolution)
         if grid_cert.valid:
             cert, source = grid_cert, "grid"

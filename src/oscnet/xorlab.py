@@ -5,10 +5,11 @@ uses the bipolar encoding {-1, +1} for both inputs and labels.  A certificate
 stores explicit (w, b) and the four per-point margins m_i = g(z_i).  Point i
 is correct when y_i * m_i > 1e-6; the certificate is valid when all four are.
 
-The exhaustive grid search over (w1, w2, b) is the oracle for the XOR
-property; absence of a certificate on the grid is resolution-limited evidence,
-not proof.  It scores every triple, but evaluates g only once per distinct
-pre-activation.  Reduction order is deterministic: maximal correct count
+The negative side is proved, not searched: ``xor_ruled_out`` reads the
+catalog fields that leave g at most one sign change, and then no (w, b)
+certifies XOR.  The exhaustive grid search over (w1, w2, b) is the oracle only
+where those fields leave XOR possible.  It scores every triple, but evaluates
+g only once per distinct pre-activation.  Reduction order is deterministic: maximal correct count
 first, then larger minimum |margin|, then the lexicographically first grid
 triple.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ActivationId, apply, apply_with_grad, evaluate
+from .activations import ActivationId, apply, apply_with_grad, descriptor, evaluate
 from .errors import ConfigError, require_positive
 from .properties import Interval, sign_with_tol
 
@@ -90,6 +91,23 @@ def _certificate_for(id: ActivationId, w1: float, w2: float, b: float) -> XorCer
     neuron = SingleNeuron((float(w1), float(w2)), float(b), ActivationId(id))
     margins = tuple(neuron_forward(neuron, x) for x in _XOR_INPUTS)
     return XorCertificate(neuron, margins, int(_point_correct(_Y, np.array(margins)).sum()))
+
+
+def xor_ruled_out(id: ActivationId) -> bool:
+    """True when the catalog entry of ``id`` proves that no (w1, w2, b) scores
+    all four XOR points: g is ``monotonic``, ``sign_equivalent_identity``, or
+    never negative (``value_range.lo >= 0``).
+
+    With bipolar inputs the two -1 points sit at z = b +- (w1 + w2) and the
+    two +1 points at z = b +- (w1 - w2), so each pair straddles b.  A certificate
+    needs g < -MARGIN_TOL at both of one pair and g > MARGIN_TOL at both of the
+    other.  A never-negative g scores no -1 point.  For a monotonic g, or one
+    with the sign of z, the points where g > MARGIN_TOL lie strictly on one side
+    of those where g < -MARGIN_TOL, and two pairs that both straddle b cannot.
+    The catalog states these fields on all of R; ``oscnet properties`` scans them.
+    """
+    entry = descriptor(id)
+    return entry.monotonic or entry.sign_equivalent_identity or entry.value_range.lo >= 0
 
 
 def grid_window(bound: float, resolution: float) -> Interval:

@@ -1,6 +1,7 @@
 """Command-line behaviour: artifacts, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,62 @@ class TestXor:
     def test_unknown_activation_is_a_config_error(self, tmp_path, capsys):
         assert run(["xor", "sigmoid_sine", "--out-dir", tmp_path]) == EXIT_CONFIG
         assert "unknown activation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ident", ["tanh", "sigmoid"])
+    def test_ruled_out_id_skips_the_grid(self, tmp_path, monkeypatch, ident):
+        """The catalog proves these have no certificate, so a failed training is final."""
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid search ran")
+
+        monkeypatch.setattr(xorlab, "grid_search_certificate", no_grid)
+        assert run(["xor", ident, "--out-dir", tmp_path]) == EXIT_XOR
+        cert = json.loads((tmp_path / f"xor_{ident}_certificate.json").read_text())
+        assert cert["source"] == "trained" and not cert["valid"]
+
+    @pytest.mark.parametrize("ident", ["ncu", "z_sq_cos", "dsu"])
+    def test_open_id_that_training_misses_takes_the_grid(self, tmp_path, monkeypatch, ident):
+        calls = []
+        search = xorlab.grid_search_certificate
+        monkeypatch.setattr(xorlab, "grid_search_certificate",
+                            lambda *args: calls.append(args) or search(*args))
+        assert run(["xor", ident, "--out-dir", tmp_path]) == EXIT_OK
+        cert = json.loads((tmp_path / f"xor_{ident}_certificate.json").read_text())
+        assert cert["source"] == "grid" and cert["valid"]
+        assert calls == [(ident, xorlab.GRID_BOUND, xorlab.GRID_RESOLUTION)]
+
+    def test_ruled_out_id_still_checks_grid_flags_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the neuron was trained")
+
+        monkeypatch.setattr(xorlab, "train_single_neuron", no_training)
+        out = tmp_path / "o"
+        assert run(["xor", "tanh", "--out-dir", out, "--resolution", "0.01"]) == EXIT_CONFIG
+        assert "--resolution 0.01" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ident,code,certificate,boundary", [
+        ("tanh", EXIT_XOR,
+         "e5a430272d328fe1336e866019b041a83c9c7f6303779660bb3ce5a0d1fd5ed0",
+         "9736f82a0a711f2f508938d418d270fa9170099c9f0d19bcd19029062804e6ff"),
+        ("relu", EXIT_XOR,
+         "7e0d13c814d4fe2247a05b4ff2698b9fa788616646ee8fd3a534217a226ed9c7",
+         "416ab83ff50794f0bf020a9615c8fa40ff057ac80f869df290e869497e618d3d"),
+        ("sigmoid", EXIT_XOR,
+         "b6b1fd5147756faa92524ac20dc0dd8cf7769b3c89e012a7b283a7cc6faf6c02",
+         "416535aaf03c54d8c3593e385533039e525ca1911befc3e11382426045db47d2"),
+        ("gcu", EXIT_OK,  # trained
+         "c8ab244a2a98d60ae25e84eeb78d9df480f33fb35ad4195f3b5676010a464da0",
+         "d5924cf8e41bf055a1f7869806acd232dfe544fea0864ec8aaa4a41736091725"),
+        ("ncu", EXIT_OK,  # grid
+         "d0d73f6ed461428df4c6b1fdba955f981fd3b596c59cc313174a9fa6eafe0f00",
+         "6dd412db4341d93b48838c7ad1ea4c49234ea615eae5c4155a9676e8261465cb"),
+    ], ids=["tanh", "relu", "sigmoid", "gcu", "ncu"])
+    def test_default_outputs_match_the_recorded_digests(self, tmp_path, ident, code, certificate,
+                                                        boundary):
+        """sha256 of both files at the defaults, as recorded before the ruled-out ids skipped the grid."""
+        assert run(["xor", ident, "--out-dir", tmp_path]) == code
+        digest = lambda name: hashlib.sha256((tmp_path / f"xor_{ident}_{name}").read_bytes()).hexdigest()
+        assert (digest("certificate.json"), digest("boundary.csv")) == (certificate, boundary)
 
 
 class TestBench:

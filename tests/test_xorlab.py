@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscnet import xorlab
-from oscnet.activations import ActivationId, apply, apply_grad, apply_with_grad, descriptor
+from oscnet.activations import ActivationId, apply, apply_grad, apply_with_grad
 from oscnet.cli import _write_json
 from oscnet.errors import ConfigError
 from oscnet.properties import Interval
@@ -21,9 +21,11 @@ from oscnet.xorlab import (
     train_single_neuron,
     write_boundary_csv,
     xor_dataset,
+    xor_ruled_out,
 )
 
 A = ActivationId
+RULED_OUT = sorted((i for i in A if xor_ruled_out(i)), key=lambda i: i.value)
 
 
 def sequential_reference(id, spec):
@@ -117,6 +119,14 @@ class TestNeuronForward:
             assert neuron_forward(n, x) == 0.0
 
 
+class TestRuledOut:
+    def test_rules_out_exactly_the_ids_without_a_certificate(self):
+        """The 20 ids for which `oscnet xor` exits 5; the seven it certifies stay open."""
+        assert len(RULED_OUT) == 20
+        assert {i for i in A if not xor_ruled_out(i)} == {
+            A.SINE, A.SQU, A.NCU, A.Z_SQ_COS, A.SSU, A.GCU, A.DSU}
+
+
 class TestGridSearch:
     def test_squ_example_triple_is_a_valid_certificate(self):
         n = SingleNeuron((1.1, -1.0), -0.5, A.SQU)
@@ -139,15 +149,16 @@ class TestGridSearch:
         assert not cert.valid
         assert cert.correct <= 3
 
-    @pytest.mark.parametrize("id", sorted(
-        {i for i in ActivationId if descriptor(i).sign_equivalent_identity}
-        | {A.RELU, A.SOFTPLUS, A.LISHT, A.ABSOLUTE, A.SIGNUM},
-        key=lambda i: i.value))
+    @pytest.mark.parametrize("id", RULED_OUT)
     def test_single_hyperplane_units_never_certify(self, id):
-        """Sign-equivalence to the identity (or a non-negative output) caps a
-        single neuron at 3/4: the two +1 points and two -1 points would need
-        2b > 0 and 2b < 0 simultaneously."""
+        """No id that ``xor_ruled_out`` proves negative has a certificate on the default grid."""
         cert = grid_search_certificate(id)
+        assert not cert.valid, id.value
+
+    @pytest.mark.parametrize("id", RULED_OUT)
+    def test_ruled_out_units_never_certify_on_a_finer_window(self, id):
+        """The proof does not depend on the window: [-3, 3] at step 0.05 (121 points) finds none either."""
+        cert = grid_search_certificate(id, 3.0, 0.05)
         assert not cert.valid, id.value
 
     def test_z_sq_cos_does_certify(self):
