@@ -4,14 +4,16 @@ Commands
 --------
 properties   run every catalog scan, write JSON + CSV reports, exit nonzero on
              any measured-vs-descriptor contradiction
-xor          train a single neuron on XOR (grid-search fallback), export the
-             certificate JSON and decision-boundary CSV
+xor          train a single neuron on XOR (grid-search fallback unless the
+             catalog rules XOR out), export the certificate JSON and
+             decision-boundary CSV
 bench        run the (activation x conv_layers) benchmark matrix on CIFAR-10,
              streaming one JSON record per epoch plus a summary table
 emit-plots   reshape benchmark records into plottable long-format CSV series
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 property contradiction,
-5 XOR failure (neither training nor grid search produced a valid certificate),
+5 XOR failure (training found no valid certificate, and the catalog rules XOR
+out or the grid search found none),
 6 a bench cell diverged (its records and the summaries are still written).
 """
 

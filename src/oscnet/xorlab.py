@@ -9,9 +9,9 @@ The negative side is proved, not searched: ``xor_ruled_out`` reads the
 catalog fields that leave g at most one sign change, and then no (w, b)
 certifies XOR.  The exhaustive grid search over (w1, w2, b) is the oracle only
 where those fields leave XOR possible.  It scores every triple, but evaluates
-g only once per distinct pre-activation.  Reduction order is deterministic: maximal correct count
-first, then larger minimum |margin|, then the lexicographically first grid
-triple.
+g only once per distinct pre-activation.  Reduction order is deterministic:
+maximal correct count first, then larger minimum |margin|, then the
+lexicographically first grid triple.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ def xor_ruled_out(id: ActivationId) -> bool:
     never negative (``value_range.lo >= 0``).
 
     With bipolar inputs the two -1 points sit at z = b +- (w1 + w2) and the
-    two +1 points at z = b +- (w1 - w2), so each pair straddles b.  A certificate
-    needs g < -MARGIN_TOL at both of one pair and g > MARGIN_TOL at both of the
-    other.  A never-negative g scores no -1 point.  For a monotonic g, or one
+    two +1 points at z = b +- (w1 - w2), so each pair straddles b.  A
+    certificate needs g < -MARGIN_TOL at both -1 points and g > MARGIN_TOL at
+    both +1 points.  A never-negative g scores no -1 point.  For a monotonic g, or one
     with the sign of z, the points where g > MARGIN_TOL lie strictly on one side
     of those where g < -MARGIN_TOL, and two pairs that both straddle b cannot.
     The catalog states these fields on all of R; ``oscnet properties`` scans them.
