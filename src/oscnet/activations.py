@@ -166,14 +166,17 @@ def _sinc_arr(u):
     Returns ``(sinc, near, un)``: ``near`` indexes the entries with
     |u| < _SINC_BAND, whose values ``un`` are replaced by 1 in ``u`` so that
     no quotient divides by zero; the series fills those entries instead.
+    An empty band (most inputs) skips the index writes and the series.
     """
     s = np.abs(u)
     near = np.nonzero(s < _SINC_BAND)
     un = u[near]
-    u[near] = 1.0
+    if un.size:
+        u[near] = 1.0
     np.sin(u, out=s)
     s /= u
-    s[near] = _series(un * un, _SINC_SERIES)
+    if un.size:
+        s[near] = _series(un * un, _SINC_SERIES)
     return s, near, un
 
 
@@ -182,7 +185,8 @@ def _dsinc_arr(u, sinc, near, un):
     d = np.cos(u)
     d -= sinc
     d /= u
-    d[near] = un * _series(un * un, _DSINC_SERIES)
+    if un.size:
+        d[near] = un * _series(un * un, _DSINC_SERIES)
     return d
 
 

@@ -83,7 +83,8 @@ def cmd_xor(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cert, _trace = xorlab.train_single_neuron(ident, spec)
     source = "trained"
-    if not cert.valid and not xorlab.xor_ruled_out(ident):
+    ruled_out = xorlab.xor_ruled_out(ident)
+    if not cert.valid and not ruled_out:
         grid_cert = xorlab.grid_search_certificate(ident, args.bound, args.resolution)
         if grid_cert.valid:
             cert, source = grid_cert, "grid"
@@ -95,7 +96,8 @@ def cmd_xor(args) -> int:
         print(f"xor {ident.value}: valid certificate via {source} "
               f"(w={cert.neuron.w}, b={cert.neuron.b})")
         return EXIT_OK
-    print(f"xor {ident.value}: training failed and grid search failed "
+    why = "the catalog rules XOR out" if ruled_out else "grid search failed"
+    print(f"xor {ident.value}: training failed and {why} "
           f"(best {cert.correct}/4)", file=sys.stderr)
     return EXIT_XOR
 

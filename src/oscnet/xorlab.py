@@ -12,6 +12,11 @@ where those fields leave XOR possible.  It scores every triple, but evaluates
 g only once per distinct pre-activation.  Reduction order is deterministic:
 maximal correct count first, then larger minimum |margin|, then the
 lexicographically first grid triple.
+
+Training is gradient descent, a deterministic map of the parameters: all
+restarts share one kernel call per epoch until the parameters repeat bit for
+bit with period 1 or 2, and the remaining epochs are then filled in without
+computing them.
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ BOUNDARY_AXIS = np.linspace(-2.0, 2.0, 101)
 _XOR_INPUTS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
 _XOR_LABELS = (-1.0, 1.0, 1.0, -1.0)
 _X, _Y = np.array(_XOR_INPUTS), np.array(_XOR_LABELS)
+_XA = np.vstack([_X.T, np.ones(4)])  # theta @ _XA = w1*x1 + w2*x2 + b at the four points
+
+# Training compares its parameters with those of two epochs back once per this
+# many epochs; a repeat found up to this many epochs late costs only those epochs.
+_REPEAT_CHECK_EVERY = 32
 
 
 @dataclass(frozen=True)
@@ -178,14 +188,30 @@ class TrainSpec:
             raise ConfigError(f"TrainSpec.seed must be >= 0, got {self.seed}")
 
 
+def _repeats(theta, before, earlier) -> bool:
+    """True when every finite row of ``theta`` equals its row in ``earlier`` bit
+    for bit, and no row of ``before`` (the epoch between them) was finite where
+    ``theta``'s is not.  Bits, not ``==``: a zero's sign survives the update
+    into the certificate.  A non-finite row never turns finite again and is
+    skipped at selection, so its bits (NaN payloads) need not repeat."""
+    finite = np.isfinite(theta).all(axis=1)
+    return (np.array_equal(finite, np.isfinite(before).all(axis=1))
+            and np.array_equal(theta.view(np.uint64)[finite], earlier.view(np.uint64)[finite]))
+
+
 def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
     """Fit w, b by full-batch gradient descent on squared error sum((g(z)-y)^2).
 
     All restarts train together as rows of one (restarts, 3) theta, with one
     kernel call per epoch; row r starts from uniform[-init_scale, init_scale]
-    seeded as seed + r, and its bits match a lone run of that restart.  Then
-    restarts are taken in order until one gives a valid certificate; one
-    whose parameters went non-finite (they never turn finite) is skipped.
+    seeded as seed + r, and its bits match a lone run of that restart.  Each
+    epoch is the same deterministic map of theta, so once theta after epoch
+    e equals, bit for bit on its finite rows, theta before epoch e - 1, the
+    run repeats with period 1 or 2: the loop stops there and fills the
+    remaining losses and the final theta by that period (checked every
+    _REPEAT_CHECK_EVERY epochs).  Then restarts are taken in order until one
+    gives a valid certificate; one whose parameters went non-finite (they
+    never turn finite) is skipped.
     Returns (best certificate found, loss trace of that restart).
     """
     id = ActivationId(id)
@@ -195,13 +221,20 @@ def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
     grad = np.empty_like(theta)
     with np.errstate(over="ignore", invalid="ignore"):  # diverged rows are skipped below
         for epoch in range(spec.epochs):
-            a, da = apply_with_grad(id, theta[:, :2] @ _X.T + theta[:, 2:])
+            a, da = apply_with_grad(id, theta @ _XA)
             err = a - _Y
             losses[epoch] = np.vecdot(err, err)
             gz = 2.0 * err * da
             np.vecdot(gz[:, None, :], _X.T, out=grad[:, :2])
             gz.sum(axis=1, out=grad[:, 2])
-            theta = theta - spec.learning_rate * grad
+            after = theta - spec.learning_rate * grad
+            if epoch % _REPEAT_CHECK_EVERY == _REPEAT_CHECK_EVERY - 1 and _repeats(after, theta, earlier):
+                losses[epoch + 1::2] = losses[epoch - 1]
+                losses[epoch + 2::2] = losses[epoch]
+                if (spec.epochs - 1 - epoch) % 2 == 0:
+                    theta = after
+                break
+            earlier, theta = theta, after
 
     best, best_trace = None, []
     for restart in range(spec.restarts):

@@ -205,6 +205,20 @@ class TestArrayScalarConsistency:
             np.testing.assert_array_equal(g, want_g, strict=True)
             np.testing.assert_array_equal(dg, want_dg, strict=True)
 
+    @pytest.mark.parametrize("id", [A.SSU, A.DSU])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_sinc_band_gives_the_same_bits(self, id, dtype):
+        """An input with no entry in the series band (|z -+ pi| < 0.1) skips
+        the series; its g and g' equal those of the same entries computed
+        beside one band entry, bit for bit."""
+        outside = np.array([-7.0, -math.pi - 0.15, -3.0, -0.5, 0.0, 1.0, 3.0, math.pi + 0.25, 9.0],
+                           dtype=dtype)
+        mixed = np.append(outside, dtype(math.pi + 0.01))
+        g, dg = apply_with_grad(id, outside)
+        mixed_g, mixed_dg = apply_with_grad(id, mixed)
+        assert np.array_equal(g.view(np.uint8), mixed_g[:-1].view(np.uint8))
+        assert np.array_equal(dg.view(np.uint8), mixed_dg[:-1].view(np.uint8))
+
     def test_float32_derivative_stable_near_sinc_centre(self):
         """(x cos x - sin x)/x^2 cancels in float32 near x=0; the series branch
         must keep SSU and DSU, and their derivatives, accurate around the

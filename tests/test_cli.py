@@ -144,6 +144,16 @@ class TestXor:
         assert "--resolution 0.01" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["tanh"], "xor tanh: training failed and the catalog rules XOR out (best 3/4)\n"),
+        # dsu trains to no certificate at seed 7, and none lies in [-0.1, 0.1]^3
+        (["dsu", "--bound", "0.1", "--resolution", "0.1"],
+         "xor dsu: training failed and grid search failed (best 0/4)\n"),
+    ], ids=["ruled-out", "grid"])
+    def test_failure_message_names_what_decided(self, tmp_path, capsys, argv, message):
+        assert run(["xor", *argv, "--out-dir", tmp_path]) == EXIT_XOR
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("ident,code,certificate,boundary", [
         ("tanh", EXIT_XOR,
          "e5a430272d328fe1336e866019b041a83c9c7f6303779660bb3ce5a0d1fd5ed0",

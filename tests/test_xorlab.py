@@ -60,6 +60,12 @@ def sequential_reference(id, spec):
     return best, best_trace
 
 
+def cert_bits(cert):
+    """The certificate's floats as raw bits, so -0.0 and +0.0 differ."""
+    n = cert.neuron
+    return n.activation, cert.correct, np.array([*n.w, n.b, *cert.margins]).view(np.uint64).tolist()
+
+
 def reference_grid_search(id, bound=5.0, resolution=0.1):
     """The grid search as it was before g was tabulated: g evaluated on the
     full (n, n, n) pre-activation cube, once per XOR point."""
@@ -296,7 +302,7 @@ class TestTraining:
         assert np.array_equal(trace, ref_trace)
 
     def test_one_kernel_call_per_epoch(self, monkeypatch):
-        """All restarts share each epoch's kernel call, one row per restart."""
+        """All restarts share at most one kernel call per epoch, one row per restart."""
         shapes = []
         fused = xorlab.apply_with_grad
         monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: shapes.append(z.shape) or fused(i, z))
@@ -319,6 +325,50 @@ class TestTraining:
         assert cert == ref_cert
         assert type(trace) is list and all(type(v) is float for v in trace)
         assert np.array_equal(np.array(trace).view(np.uint64), np.array(ref_trace).view(np.uint64))
+
+    @pytest.mark.parametrize("id", [A.RELU, A.ABSOLUTE, A.HARD_TANH, A.GCU, A.NCU])
+    # The check runs at odd epochs, so an even and an odd count cover both
+    # parities of the rest; at 301 absolute and hard_tanh have not repeated yet.
+    @pytest.mark.parametrize("epochs", [2000, 1001])
+    def test_fast_forward_matches_the_sequential_loop(self, monkeypatch, id, epochs):
+        """These runs reach a fixed point or a 2-cycle (absolute: every restart;
+        ncu: most restarts diverge first), so the loop stops early, yet the
+        certificate and loss trace equal the full sequential run bit for bit."""
+        spec = TrainSpec(seed=22, epochs=epochs)
+        calls = []
+        fused = xorlab.apply_with_grad
+        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: calls.append(1) or fused(i, z))
+        cert, trace = train_single_neuron(id, spec)
+        ref_cert, ref_trace = sequential_reference(id, spec)
+        assert len(calls) < epochs
+        assert cert_bits(cert) == cert_bits(ref_cert)
+        assert np.array_equal(np.array(trace).view(np.uint64), np.array(ref_trace).view(np.uint64))
+
+    def test_relu_stops_long_before_the_last_epoch(self, monkeypatch):
+        calls = []
+        fused = xorlab.apply_with_grad
+        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: calls.append(1) or fused(i, z))
+        _, trace = train_single_neuron(A.RELU, TrainSpec())
+        assert len(calls) <= 500
+        assert len(trace) == TrainSpec().epochs
+
+    def test_a_zero_of_the_other_sign_is_no_repeat(self):
+        theta = np.array([[0.5, -0.0, 1.0], [2.0, 3.0, 4.0]])
+        flipped = theta.copy()
+        flipped[0, 1] = 0.0
+        assert xorlab._repeats(theta, theta, theta.copy())
+        assert not xorlab._repeats(flipped, theta, theta)
+
+    def test_non_finite_rows_do_not_block_a_repeat(self):
+        nan_a, nan_b = (np.array([bits], dtype=np.uint64).view(np.float64)[0]
+                        for bits in (0x7FF8000000000001, 0x7FF8000000000002))
+        theta = np.array([[0.5, 1.0, 1.0], [nan_a, np.inf, 0.0]])
+        earlier = np.array([[0.5, 1.0, 1.0], [nan_b, 1.0, 0.0]])
+        assert xorlab._repeats(theta, theta, earlier)
+        # a row that went non-finite in the last epoch is no repeat: its final
+        # theta may be the finite one of the two
+        before = np.array([[0.5, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        assert not xorlab._repeats(theta, before, earlier)
 
     @pytest.mark.parametrize("id,w,b,margins", [
         (A.SQU, (-0.5584006948287524, 0.5584006948287524), -0.5,
