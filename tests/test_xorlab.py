@@ -60,6 +60,14 @@ def sequential_reference(id, spec):
     return best, best_trace
 
 
+def record_kernel_calls(monkeypatch):
+    """A list that gets the input shape of each training kernel call."""
+    calls = []
+    fused = xorlab.apply_with_grad
+    monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: calls.append(z.shape) or fused(i, z))
+    return calls
+
+
 def cert_bits(cert):
     """The certificate's floats as raw bits, so -0.0 and +0.0 differ."""
     n = cert.neuron
@@ -335,9 +343,7 @@ class TestTraining:
         ncu: most restarts diverge first), so the loop stops early, yet the
         certificate and loss trace equal the full sequential run bit for bit."""
         spec = TrainSpec(seed=22, epochs=epochs)
-        calls = []
-        fused = xorlab.apply_with_grad
-        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: calls.append(1) or fused(i, z))
+        calls = record_kernel_calls(monkeypatch)
         cert, trace = train_single_neuron(id, spec)
         ref_cert, ref_trace = sequential_reference(id, spec)
         assert len(calls) < epochs
@@ -345,9 +351,7 @@ class TestTraining:
         assert np.array_equal(np.array(trace).view(np.uint64), np.array(ref_trace).view(np.uint64))
 
     def test_relu_stops_long_before_the_last_epoch(self, monkeypatch):
-        calls = []
-        fused = xorlab.apply_with_grad
-        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: calls.append(1) or fused(i, z))
+        calls = record_kernel_calls(monkeypatch)
         _, trace = train_single_neuron(A.RELU, TrainSpec())
         assert len(calls) <= 500
         assert len(trace) == TrainSpec().epochs
