@@ -35,6 +35,7 @@ from .xorlab import (
     neuron_forward,
     train_single_neuron,
     xor_dataset,
+    xor_witness,
 )
 from .network import (
     AdamState,

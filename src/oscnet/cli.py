@@ -4,16 +4,16 @@ Commands
 --------
 properties   run every catalog scan, write JSON + CSV reports, exit nonzero on
              any measured-vs-descriptor contradiction
-xor          train a single neuron on XOR (grid-search fallback unless the
-             catalog rules XOR out), export the certificate JSON and
-             decision-boundary CSV
+xor          train a single neuron on XOR (if training misses, the sign-change
+             witness decides unless the catalog rules XOR out), export the
+             certificate JSON and decision-boundary CSV
 bench        run the (activation x conv_layers) benchmark matrix on CIFAR-10,
              streaming one JSON record per epoch plus a summary table
 emit-plots   reshape benchmark records into plottable long-format CSV series
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 property contradiction,
 5 XOR failure (training found no valid certificate, and the catalog rules XOR
-out or the grid search found none),
+out or g changes sign fewer than twice, so the witness is invalid),
 6 a bench cell diverged (its records and the summaries are still written).
 """
 
@@ -78,16 +78,15 @@ def cmd_xor(args) -> int:
     spec = xorlab.TrainSpec(learning_rate=args.lr, epochs=args.epochs,
                             restarts=args.restarts, seed=args.seed,
                             init_scale=args.init_scale)
-    xorlab.grid_window(args.bound, args.resolution)  # a bad grid flag exits before training
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cert, _trace = xorlab.train_single_neuron(ident, spec)
     source = "trained"
     ruled_out = xorlab.xor_ruled_out(ident)
     if not cert.valid and not ruled_out:
-        grid_cert = xorlab.grid_search_certificate(ident, args.bound, args.resolution)
-        if grid_cert.valid:
-            cert, source = grid_cert, "grid"
+        witness = xorlab.xor_witness(ident)
+        if witness.valid:
+            cert, source = witness, "witness"
 
     stem = out / f"xor_{ident.value}"
     _write_json(Path(f"{stem}_certificate.json"), xorlab.certificate_to_dict(cert, source))
@@ -96,7 +95,7 @@ def cmd_xor(args) -> int:
         print(f"xor {ident.value}: valid certificate via {source} "
               f"(w={cert.neuron.w}, b={cert.neuron.b})")
         return EXIT_OK
-    why = "the catalog rules XOR out" if ruled_out else "grid search failed"
+    why = "the catalog rules XOR out" if ruled_out else "the sign-change witness failed"
     print(f"xor {ident.value}: training failed and {why} "
           f"(best {cert.correct}/4)", file=sys.stderr)
     return EXIT_XOR
@@ -242,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sx.add_argument("--restarts", type=int, default=train.restarts)
     sx.add_argument("--seed", type=int, default=train.seed)
     sx.add_argument("--init-scale", type=float, default=train.init_scale)
-    sx.add_argument("--bound", type=float, default=xorlab.GRID_BOUND)
-    sx.add_argument("--resolution", type=float, default=xorlab.GRID_RESOLUTION)
     sx.set_defaults(func=cmd_xor)
 
     sb = sub.add_parser("bench", help="run the CNN benchmark matrix")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import (
+    CHUNK_BYTES,
     COUNTABLY_INFINITE,
     ActivationId,
     all_ids,
@@ -67,7 +68,7 @@ def sign_with_tol(x):
 @dataclass(frozen=True)
 class ZeroCrossingReport:
     id: ActivationId
-    brackets: tuple   # (z, z+step) pairs where the sign flips
+    brackets: tuple   # (lo, hi) per sign change: the nonzero gridpoints around it
     exact_zeros: tuple  # gridpoints with |g| <= SIGN_ZERO_TOL
     count: int        # number of sign changes after collapsing zero runs
 
@@ -75,23 +76,20 @@ class ZeroCrossingReport:
 def zero_crossings(id: ActivationId, iv: Interval) -> ZeroCrossingReport:
     """Locate sign changes of g on a grid.
 
-    The reported count collapses runs of (near-)exact zeros, so a root that
-    sits on a gridpoint still counts as one crossing when the sign actually
-    flips around it, while a touching root (e.g. z^2 cos z at 0) does not.
+    Runs of (near-)exact zeros are collapsed, so a root that sits on a
+    gridpoint still counts as one crossing when the sign actually flips
+    around it, while a touching root (e.g. z^2 cos z at 0) does not.  Each
+    counted crossing gets one bracket, spanning any zero run it crosses.
     """
     if iv.step > 1e-2:
-        raise ValueError(f"zero-crossing scan needs step <= 1e-2, got {iv.step}")
+        raise ConfigError(f"zero-crossing scan needs step <= 1e-2, got {iv.step}")
     grid = iv.grid()
-    vals = apply(id, grid)
-    signs = sign_with_tol(vals)
-
-    strict = signs[:-1] * signs[1:] < 0
-    brackets = tuple((float(grid[i]), float(grid[i + 1])) for i in np.flatnonzero(strict))
+    signs = sign_with_tol(apply(id, grid))
+    nonzero = np.flatnonzero(signs)
+    flips = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
+    brackets = tuple((float(grid[nonzero[i]]), float(grid[nonzero[i + 1]])) for i in flips)
     exact = tuple(float(z) for z in grid[signs == 0])
-
-    nonzero = signs[signs != 0]
-    count = int(np.count_nonzero(nonzero[:-1] != nonzero[1:])) if nonzero.size > 1 else 0
-    return ZeroCrossingReport(id, brackets, exact, count)
+    return ZeroCrossingReport(id, brackets, exact, len(brackets))
 
 
 @dataclass(frozen=True)
@@ -239,10 +237,13 @@ def continuity_scan(id: ActivationId, iv: Interval) -> ContinuityReport:
 
     For a continuous function the largest adjacent-gridpoint jump shrinks
     roughly linearly with the step; across a jump discontinuity it does not.
+    The fine pass runs in blocks of CHUNK_BYTES that overlap by one point.
     """
     coarse = float(np.abs(np.diff(apply(id, iv.grid()))).max())
-    fine_iv = Interval(iv.lo, iv.hi, iv.step / 10.0)
-    fine = float(np.abs(np.diff(apply(id, fine_iv.grid()))).max())
+    grid = Interval(iv.lo, iv.hi, iv.step / 10.0).grid()
+    block = CHUNK_BYTES // grid.itemsize
+    fine = max(float(np.abs(np.diff(apply(id, grid[s:s + block]))).max())
+               for s in range(0, grid.size - 1, block - 1))
     continuous = fine <= max(0.5 * coarse, 1e-9)
     return ContinuityReport(id, continuous, coarse, fine)
 

@@ -1,17 +1,17 @@
-"""Single-neuron XOR: dataset, brute-force certification, training, boundaries.
+"""Single-neuron XOR: dataset, exact certification, training, boundaries.
 
 A neuron computes a = g(w.x + b) and classifies by sign(a).  The XOR dataset
 uses the bipolar encoding {-1, +1} for both inputs and labels.  A certificate
 stores explicit (w, b) and the four per-point margins m_i = g(z_i).  Point i
 is correct when y_i * m_i > 1e-6; the certificate is valid when all four are.
 
-The negative side is proved, not searched: ``xor_ruled_out`` reads the
-catalog fields that leave g at most one sign change, and then no (w, b)
-certifies XOR.  The exhaustive grid search over (w1, w2, b) is the oracle only
-where those fields leave XOR possible.  It scores every triple, but evaluates
-g only once per distinct pre-activation.  Reduction order is deterministic:
-maximal correct count first, then larger minimum |margin|, then the
-lexicographically first grid triple.
+XOR is decided exactly, not searched: ``xor_ruled_out`` reads the catalog
+fields that leave g at most one sign change, and then no (w, b) certifies XOR;
+otherwise ``xor_witness`` builds one from g's first two sign changes.  The
+exhaustive grid search over (w1, w2, b) stays as a test oracle.  It scores
+every triple, but evaluates g only once per distinct pre-activation.  Reduction
+order is deterministic: maximal correct count first, then larger minimum
+|margin|, then the lexicographically first grid triple.
 
 Training is gradient descent, a deterministic map of the parameters: all
 restarts share one kernel call per epoch until the parameters repeat bit for
@@ -27,7 +27,7 @@ import numpy as np
 
 from .activations import ActivationId, apply, apply_with_grad, descriptor, evaluate
 from .errors import ConfigError, require_positive
-from .properties import Interval, sign_with_tol
+from .properties import DEFAULT_SCAN, Interval, sign_with_tol, zero_crossings
 
 MARGIN_TOL = 1e-6
 
@@ -120,20 +120,19 @@ def xor_ruled_out(id: ActivationId) -> bool:
     return entry.monotonic or entry.sign_equivalent_identity or entry.value_range.lo >= 0
 
 
-def grid_window(bound: float, resolution: float) -> Interval:
-    """[-bound, bound] at step ``resolution``.  Raises ConfigError, naming both
-    flags, for an empty or non-finite window or over MAX_GRID_TRIPLES triples."""
-    flags = f"XOR grid with --bound {bound!r} and --resolution {resolution!r}"
-    try:
-        window = Interval(-bound, bound, resolution)
-    except ConfigError as exc:
-        raise ConfigError(f"{flags}: {exc}") from None
-    n = window.size
-    if n ** 3 > MAX_GRID_TRIPLES:
-        raise ConfigError(
-            f"{flags} has {n:,} points per axis, {n ** 3:,} (w1, w2, b) triples, "
-            f"over the limit of {MAX_GRID_TRIPLES:,}; lower --bound or raise --resolution")
-    return window
+def xor_witness(id: ActivationId) -> XorCertificate:
+    """A certificate from the first two sign changes r1 < r2 of g on DEFAULT_SCAN
+    (bracket midpoints): b = (r1 + r2)/2, and b +- p reach halfway into the
+    narrower outer sign region.  w1 = w2 = p/2 if g(b) > 0, else w1 = -w2 = p/2,
+    so the -1 (or the +1) points sit at b +- p and the others at b.  It is
+    re-scored, and it is the invalid zero neuron if g changes sign under twice."""
+    ends = [0.5 * (lo + hi) for lo, hi in zero_crossings(id, DEFAULT_SCAN).brackets]
+    if len(ends) < 2:
+        return _certificate_for(id, 0.0, 0.0, 0.0)
+    r1, r2, r3 = (ends + [DEFAULT_SCAN.hi])[:3]
+    b = 0.5 * (r1 + r2)
+    half = 0.25 * (r2 - r1 + min(r1 - DEFAULT_SCAN.lo, r3 - r2))
+    return _certificate_for(id, half, half if evaluate(id, b) > 0 else -half, b)
 
 
 def grid_search_certificate(id: ActivationId, bound: float = GRID_BOUND,
@@ -142,9 +141,9 @@ def grid_search_certificate(id: ActivationId, bound: float = GRID_BOUND,
 
     Returns the best certificate (max correct count, ties broken by larger
     minimum |margin|, then first grid index).  Check ``.valid`` to see whether
-    the activation exhibits the XOR property at this resolution.  The window
-    comes from ``grid_window``, so a bad one raises ConfigError before any
-    grid is built.
+    the activation exhibits the XOR property at this resolution.  A bad
+    window, or one of over MAX_GRID_TRIPLES triples, raises ConfigError before
+    any grid is built.
 
     Every pre-activation is (w1*x1 + w2*x2) + b with x1, x2 = +-1, so g is
     tabulated once on the distinct sums w1*x1 + w2*x2 (905 of the 40 804
@@ -155,7 +154,11 @@ def grid_search_certificate(id: ActivationId, bound: float = GRID_BOUND,
     then only the sign of z = 0 (and of g(0) for an odd g): y*(+-0) <=
     MARGIN_TOL and |+-0| = 0 score such a point the same either way.
     """
-    axis = grid_window(bound, resolution).grid()
+    window = Interval(-bound, bound, resolution)
+    if window.size ** 3 > MAX_GRID_TRIPLES:
+        raise ConfigError(f"XOR grid [-{bound}, {bound}] at step {resolution} has {window.size:,} "
+                          f"points per axis, over the limit of {MAX_GRID_TRIPLES:,} triples")
+    axis = window.grid()
     sums = np.stack([axis[:, None] * x1 + axis * x2 for x1, x2 in _XOR_INPUTS])
     distinct, rows = np.unique(sums, return_inverse=True)
     table = apply(id, distinct[:, None] + axis)  # table[u, k] = g(distinct[u] + axis[k])

@@ -15,7 +15,7 @@ from oscnet.cli import (
     EXIT_XOR,
     main,
 )
-from oscnet.properties import Interval
+from oscnet.activations import all_ids
 
 
 def run(argv):
@@ -54,7 +54,7 @@ class TestXor:
         assert len(boundary) == 1 + 101 * 101
 
     def test_dsu_certifies(self, tmp_path):
-        # wider init reaches DSU's oscillatory basin; grid fallback covers the rest
+        # wider init reaches DSU's oscillatory basin; the sign-change witness covers the rest
         assert run(["xor", "dsu", "--out-dir", tmp_path, "--init-scale", "2.0"]) == EXIT_OK
         cert = json.loads((tmp_path / "xor_dsu_certificate.json").read_text())
         assert cert["valid"]
@@ -70,43 +70,11 @@ class TestXor:
 
     @pytest.mark.parametrize("flags", [
         ["--lr", "nan"], ["--init-scale", "inf"], ["--init-scale", "nan"], ["--seed", "-1"],
-        ["--bound", "inf"],
-        ["--resolution", "10"],  # >= 2 * bound: the grid would hold one or two points
     ])
     def test_bad_flag_is_a_config_error(self, tmp_path, capsys, flags):
         assert run(["xor", "tanh", "--out-dir", tmp_path, "--epochs", "20", "--restarts", "1"]
                    + flags) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags", [
-        ["--resolution", "0.01"],  # 1001 points per axis: about 1e9 triples, ~19 GB
-        ["--bound", "1e300", "--resolution", "1e-300"],  # the point count overflows
-    ])
-    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch,
-                                                          flags):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the XOR grid was built or evaluated")
-
-        monkeypatch.setattr(xorlab, "apply", no_grid)
-        monkeypatch.setattr(Interval, "grid", no_grid)
-        assert run(["xor", "tanh", "--out-dir", tmp_path] + flags) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "--bound" in err and "--resolution" in err and "triples" in err
-
-    @pytest.mark.parametrize("flags,named", [
-        (["--bound", "-1"], "--bound -1.0"),
-        (["--resolution", "0.001"], "--resolution 0.001"),  # 10 001 points per axis, 1.0e12 triples
-    ])
-    def test_bad_grid_flag_exits_before_training(self, tmp_path, capsys, monkeypatch, flags, named):
-        """squ trains to a certificate, so the grid never runs; its flags are checked anyway."""
-        def no_training(*args, **kwargs):
-            raise AssertionError("the neuron was trained")
-
-        monkeypatch.setattr(xorlab, "train_single_neuron", no_training)
-        out = tmp_path / "o"
-        assert run(["xor", "squ", "--out-dir", out] + flags) == EXIT_CONFIG
-        assert named in capsys.readouterr().err
-        assert not out.exists()
 
     def test_unknown_activation_is_a_config_error(self, tmp_path, capsys):
         assert run(["xor", "sigmoid_sine", "--out-dir", tmp_path]) == EXIT_CONFIG
@@ -124,34 +92,32 @@ class TestXor:
         assert cert["source"] == "trained" and not cert["valid"]
 
     @pytest.mark.parametrize("ident", ["ncu", "z_sq_cos", "dsu"])
-    def test_open_id_that_training_misses_takes_the_grid(self, tmp_path, monkeypatch, ident):
+    def test_open_id_that_training_misses_takes_the_witness(self, tmp_path, monkeypatch, ident):
         calls = []
-        search = xorlab.grid_search_certificate
-        monkeypatch.setattr(xorlab, "grid_search_certificate",
-                            lambda *args: calls.append(args) or search(*args))
+        witness = xorlab.xor_witness
+        monkeypatch.setattr(xorlab, "xor_witness", lambda id: calls.append(id) or witness(id))
         assert run(["xor", ident, "--out-dir", tmp_path]) == EXIT_OK
         cert = json.loads((tmp_path / f"xor_{ident}_certificate.json").read_text())
-        assert cert["source"] == "grid" and cert["valid"]
-        assert calls == [(ident, xorlab.GRID_BOUND, xorlab.GRID_RESOLUTION)]
+        assert cert["source"] == "witness" and cert["valid"]
+        assert calls == [ident]
 
-    def test_ruled_out_id_still_checks_grid_flags_before_training(self, tmp_path, capsys, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("the neuron was trained")
+    @pytest.mark.parametrize("ident", [a.value for a in all_ids()])
+    def test_never_runs_the_grid_search(self, tmp_path, monkeypatch, ident):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid search ran")
 
-        monkeypatch.setattr(xorlab, "train_single_neuron", no_training)
-        out = tmp_path / "o"
-        assert run(["xor", "tanh", "--out-dir", out, "--resolution", "0.01"]) == EXIT_CONFIG
-        assert "--resolution 0.01" in capsys.readouterr().err
-        assert not out.exists()
+        monkeypatch.setattr(xorlab, "grid_search_certificate", no_grid)
+        assert run(["xor", ident, "--out-dir", tmp_path]) in (EXIT_OK, EXIT_XOR)
 
-    @pytest.mark.parametrize("argv,message", [
-        (["tanh"], "xor tanh: training failed and the catalog rules XOR out (best 3/4)\n"),
-        # dsu trains to no certificate at seed 7, and none lies in [-0.1, 0.1]^3
-        (["dsu", "--bound", "0.1", "--resolution", "0.1"],
-         "xor dsu: training failed and grid search failed (best 0/4)\n"),
-    ], ids=["ruled-out", "grid"])
-    def test_failure_message_names_what_decided(self, tmp_path, capsys, argv, message):
-        assert run(["xor", *argv, "--out-dir", tmp_path]) == EXIT_XOR
+    @pytest.mark.parametrize("ident,message", [
+        ("tanh", "xor tanh: training failed and the catalog rules XOR out (best 3/4)\n"),
+        # dsu trains to no certificate at seed 7; an invalid witness leaves that final
+        ("dsu", "xor dsu: training failed and the sign-change witness failed (best 0/4)\n"),
+    ], ids=["ruled-out", "witness"])
+    def test_failure_message_names_what_decided(self, tmp_path, capsys, monkeypatch, ident, message):
+        monkeypatch.setattr(xorlab, "xor_witness",
+                            lambda id: xorlab._certificate_for(id, 0.0, 0.0, 0.0))
+        assert run(["xor", ident, "--out-dir", tmp_path]) == EXIT_XOR
         assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("ident,code,certificate,boundary", [
@@ -167,9 +133,9 @@ class TestXor:
         ("gcu", EXIT_OK,  # trained
          "c8ab244a2a98d60ae25e84eeb78d9df480f33fb35ad4195f3b5676010a464da0",
          "d5924cf8e41bf055a1f7869806acd232dfe544fea0864ec8aaa4a41736091725"),
-        ("ncu", EXIT_OK,  # grid
-         "d0d73f6ed461428df4c6b1fdba955f981fd3b596c59cc313174a9fa6eafe0f00",
-         "6dd412db4341d93b48838c7ad1ea4c49234ea615eae5c4155a9676e8261465cb"),
+        ("ncu", EXIT_OK,  # witness: re-recorded when it replaced the grid search
+         "dfb9cc048210d7e02435df888f4d6a1849f4efc30d69407a3aee8248b01f4cc4",
+         "1d7dd2e0534577d6c61f1b468fa2639151b7c8449c645a3372d28e13e135fb24"),
     ], ids=["tanh", "relu", "sigmoid", "gcu", "ncu"])
     def test_default_outputs_match_the_recorded_digests(self, tmp_path, ident, code, certificate,
                                                         boundary):

@@ -69,6 +69,13 @@ class TestZeroCrossings:
         assert r.count == 2
         assert any(abs(z) < 1e-9 for z in r.exact_zeros)
         assert any(abs(z + 1.0) < 1e-9 for z in r.exact_zeros)
+        (lo1, hi1), (lo2, hi2) = r.brackets
+        assert lo1 < -1.0 < hi1 and lo2 < 0.0 < hi2
+
+    @pytest.mark.parametrize("id", all_ids())
+    def test_one_bracket_per_counted_crossing(self, id):
+        r = zero_crossings(id, DEFAULT_SCAN)
+        assert len(r.brackets) == r.count
 
     def test_gcu_brackets_near_cosine_roots(self):
         """z cos z = 0 at 0 and odd multiples of pi/2."""
@@ -85,7 +92,7 @@ class TestZeroCrossings:
         assert all(not (lo < 0 < hi) for lo, hi in r.brackets)
 
     def test_rejects_coarse_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             zero_crossings(A.SINE, Interval(-10, 10, 0.5))
 
 
@@ -240,6 +247,13 @@ class TestContinuity:
     def test_scan_agrees_with_catalog(self, id):
         r = continuity_scan(id, DEFAULT_SCAN)
         assert r.continuous == descriptor(id).continuous, id.value
+
+    @pytest.mark.parametrize("id", all_ids())
+    def test_blocked_fine_pass_matches_one_pass(self, id):
+        """The fine pass runs in overlapping blocks; its max jump is the one-pass one, bit for bit."""
+        fine = Interval(DEFAULT_SCAN.lo, DEFAULT_SCAN.hi, DEFAULT_SCAN.step / 10.0).grid()
+        one_pass = float(np.abs(np.diff(apply(id, fine))).max())
+        assert continuity_scan(id, DEFAULT_SCAN).max_jump_fine == one_pass
 
     def test_signum_jump_does_not_shrink(self):
         r = continuity_scan(A.SIGNUM, DEFAULT_SCAN)

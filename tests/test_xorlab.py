@@ -22,6 +22,7 @@ from oscnet.xorlab import (
     write_boundary_csv,
     xor_dataset,
     xor_ruled_out,
+    xor_witness,
 )
 
 A = ActivationId
@@ -141,6 +142,16 @@ class TestRuledOut:
             A.SINE, A.SQU, A.NCU, A.Z_SQ_COS, A.SSU, A.GCU, A.DSU}
 
 
+class TestWitness:
+    @pytest.mark.parametrize("id", list(A), ids=str)
+    def test_valid_exactly_where_the_catalog_leaves_xor_open(self, id):
+        """Witness valid <=> not ruled out <=> the default grid oracle certifies."""
+        cert = xor_witness(id)
+        assert cert.valid == (not xor_ruled_out(id)) == grid_search_certificate(id).valid
+        redone = tuple(neuron_forward(cert.neuron, x) for x in xor_dataset().inputs)
+        assert redone == cert.margins  # bit for bit, same scalar path
+
+
 class TestGridSearch:
     def test_squ_example_triple_is_a_valid_certificate(self):
         n = SingleNeuron((1.1, -1.0), -0.5, A.SQU)
@@ -148,9 +159,12 @@ class TestGridSearch:
         np.testing.assert_allclose(margins, (-0.24, 4.16, 4.16, -0.24), atol=1e-9)
 
     def test_ncu_example_triple_is_a_valid_certificate(self):
+        """Roots -1, 0, 1: the witness puts b = -0.5 (g(b) < 0) and reaches p = 1
+        halfway to the root at 1, so it builds exactly this triple."""
         n = SingleNeuron((0.5, -0.5), -0.5, A.NCU)
         margins = tuple(neuron_forward(n, x) for x in xor_dataset().inputs)
         np.testing.assert_allclose(margins, (-0.375, 0.375, 1.875, -0.375), atol=1e-12)
+        assert xor_witness(A.NCU) == XorCertificate(n, margins, 4)
 
     @pytest.mark.parametrize("id", [A.SQU, A.NCU, A.GCU])
     def test_oscillatory_units_certify(self, id):
