@@ -13,7 +13,7 @@ emit-plots   reshape benchmark records into plottable long-format CSV series
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 property contradiction,
 5 XOR failure (training found no valid certificate, and the catalog rules XOR
-out or g changes sign fewer than twice, so the witness is invalid),
+out or the sign-change witness is invalid),
 6 a bench cell diverged (its records and the summaries are still written).
 """
 

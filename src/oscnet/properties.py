@@ -237,7 +237,8 @@ def continuity_scan(id: ActivationId, iv: Interval) -> ContinuityReport:
 
     For a continuous function the largest adjacent-gridpoint jump shrinks
     roughly linearly with the step; across a jump discontinuity it does not.
-    The fine pass runs in blocks of CHUNK_BYTES that overlap by one point.
+    The fine pass runs in blocks of CHUNK_BYTES that overlap by one point, so
+    its temporaries reuse heap pages instead of faulting in fresh mappings.
     """
     coarse = float(np.abs(np.diff(apply(id, iv.grid()))).max())
     grid = Interval(iv.lo, iv.hi, iv.step / 10.0).grid()
