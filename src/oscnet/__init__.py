@@ -12,10 +12,8 @@ from .activations import (
     derivative,
     descriptor,
     evaluate,
-    sinc,
 )
 from .properties import (
-    Interval,
     continuity_scan,
     gradient_check,
     monotonicity_scan,

@@ -135,15 +135,6 @@ class ActivationDescriptor:
     xor_property: bool = False
 
 
-def sinc(z: float) -> float:
-    """sin(z)/z extended continuously with sinc(0) = 1."""
-    if not math.isfinite(z):
-        raise DomainError(f"sinc requires a finite input, got {z!r}")
-    if z == 0.0:
-        return 1.0
-    return math.sin(z) / z
-
-
 # |u| below this uses Taylor series for sinc and its slope: there the quotients
 # below cancel (the slope) or divide by zero (sinc at u = 0).  Five terms keep
 # the series at float64 precision across the band, and at its edge the

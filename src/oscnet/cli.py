@@ -179,6 +179,10 @@ def cmd_bench(args) -> int:
     return EXIT_DIVERGED if any(s["status"] != "ok" for s in summaries) else EXIT_OK
 
 
+# record field -> the JSON types it may hold; a bool is never a number here
+_RECORD_TYPES = {"activation": str, "conv_layers": int, "epoch": int, "test_top1": (int, float)}
+
+
 def _read_records(path: Path) -> list:
     rows = []
     with open(path, "rb") as fh:
@@ -188,8 +192,11 @@ def _read_records(path: Path) -> list:
                 if not line.strip():
                     continue
                 row = json.loads(line)
-                rows.append((row["activation"], int(row["conv_layers"]),
-                             int(row["epoch"]), float(row["test_top1"])))
+                for key, types in _RECORD_TYPES.items():
+                    if isinstance(row[key], bool) or not isinstance(row[key], types):
+                        raise TypeError(f"{key} {row[key]!r} has type {type(row[key]).__name__}")
+                rows.append((row["activation"], row["conv_layers"], row["epoch"],
+                             float(row["test_top1"])))
             except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
                 raise DataFormatError(f"{path}: bad record at line {lineno}: {exc}")
     return rows

@@ -54,6 +54,7 @@ PAD = 1
 # thread), budgets of 0.5 to 4 MiB gave relu CNN training and eval rates
 # within about 10 % of each other; none won at every depth.
 BLOCK_BYTES = 1 << 20
+DROPOUT_RATE = 0.5
 
 
 def _patch_blocks(x: np.ndarray, dtype):
@@ -286,16 +287,14 @@ def activation_backward(dy: np.ndarray, cache):
     return np.multiply(dy, cache, out=cache)
 
 
-def dropout_forward(x: np.ndarray, rate: float, train: bool, rng: np.random.Generator | None = None):
-    """Inverted dropout: train mode zeroes with probability ``rate`` and scales
-    survivors by 1/(1-rate); eval mode is the identity."""
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+def dropout_forward(x: np.ndarray, train: bool, rng: np.random.Generator | None = None):
+    """Inverted dropout: train mode zeroes with probability DROPOUT_RATE and
+    scales survivors by 1/(1-DROPOUT_RATE); eval mode is the identity."""
+    if not train:
         return x, None
     if rng is None:
         raise ValueError("train-mode dropout needs a Generator")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    keep = (rng.random(x.shape) >= DROPOUT_RATE).astype(x.dtype) / (1.0 - DROPOUT_RATE)
     return x * keep, keep
 
 

@@ -24,7 +24,6 @@ from .errors import ConfigError, DivergenceError, ShapeError
 
 CONV_CHANNELS = (32, 64, 128, 128)
 PENULTIMATE_UNITS = 64
-DROPOUT_RATE = 0.5
 EVAL_BATCH = 256
 
 ADAM_BETA1 = 0.9
@@ -131,7 +130,7 @@ class Flatten:
 
 class Dropout:
     def forward(self, x, params, train, rng, with_cache):
-        return layers.dropout_forward(x, DROPOUT_RATE, train, rng)
+        return layers.dropout_forward(x, train, rng)
 
     def backward(self, dy, cache, grads):
         return layers.dropout_backward(dy, cache)

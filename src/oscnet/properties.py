@@ -1,11 +1,12 @@
 """Numerical verification of the catalogued activation properties.
 
-Grid scans are resolution-limited evidence, not proofs: a scan over [lo, hi]
-with step h can only witness behaviour at its gridpoints; the catalog scans
-use step 1e-3.  The sign-of-zero convention is sign(x) = 0 iff |x| <= 1e-12,
-except on the function-value side of the sign-equivalence scan, where the
-exact float sign is used so that exponentially small tails (e.g. GELU below
--7) keep their sign instead of being flushed to zero.
+Grid scans are resolution-limited evidence, not proofs: a scan can only
+witness behaviour at its gridpoints.  Every scan takes only the id and walks
+DEFAULT_SCAN ([-10, 10]) or, for the range, DEFAULT_RANGE_SCAN ([-20, 20]),
+both at step 1e-3.  The sign-of-zero convention is sign(x) = 0 iff
+|x| <= 1e-12, except on the function-value side of the sign-equivalence
+scan, where the exact float sign is used so that exponentially small tails
+(e.g. GELU below -7) keep their sign instead of being flushed to zero.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ RANGE_ENDPOINT_TOL = 0.01  # a closed finite range endpoint must be matched this
 MAX_REPORTED_VIOLATIONS = 5
 GRADIENT_CHECK_STEP = 1e-5  # central-difference half-width h
 KINK_GUARD = 1e-3  # gradient-check samples stay this far from every kink
+GRADIENT_CHECK_TOL = 1e-5  # max relative error of g' against the central difference
+SMALL_VALUE_TOL = 1e-6  # max error of each measured small-value coefficient
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,10 @@ class Interval:
         return np.linspace(self.lo, self.hi, self.size)
 
 
+DEFAULT_SCAN = Interval(-10.0, 10.0, 1e-3)
+DEFAULT_RANGE_SCAN = Interval(-20.0, 20.0, 1e-3)
+
+
 def sign_with_tol(x):
     """Sign with a dead zone: 0 wherever |x| <= SIGN_ZERO_TOL."""
     x = np.asarray(x, dtype=float)
@@ -70,26 +77,28 @@ class ZeroCrossingReport:
     id: ActivationId
     brackets: tuple   # (lo, hi) per sign change: the nonzero gridpoints around it
     exact_zeros: tuple  # gridpoints with |g| <= SIGN_ZERO_TOL
-    count: int        # number of sign changes after collapsing zero runs
+
+    @property
+    def count(self) -> int:
+        """Sign changes after collapsing zero runs: one per bracket."""
+        return len(self.brackets)
 
 
-def zero_crossings(id: ActivationId, iv: Interval) -> ZeroCrossingReport:
-    """Locate sign changes of g on a grid.
+def zero_crossings(id: ActivationId) -> ZeroCrossingReport:
+    """Locate sign changes of g on DEFAULT_SCAN.
 
     Runs of (near-)exact zeros are collapsed, so a root that sits on a
     gridpoint still counts as one crossing when the sign actually flips
     around it, while a touching root (e.g. z^2 cos z at 0) does not.  Each
     counted crossing gets one bracket, spanning any zero run it crosses.
     """
-    if iv.step > 1e-2:
-        raise ConfigError(f"zero-crossing scan needs step <= 1e-2, got {iv.step}")
-    grid = iv.grid()
+    grid = DEFAULT_SCAN.grid()
     signs = sign_with_tol(apply(id, grid))
     nonzero = np.flatnonzero(signs)
     flips = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
     brackets = tuple((float(grid[nonzero[i]]), float(grid[nonzero[i + 1]])) for i in flips)
     exact = tuple(float(z) for z in grid[signs == 0])
-    return ZeroCrossingReport(id, brackets, exact, len(brackets))
+    return ZeroCrossingReport(id, brackets, exact)
 
 
 @dataclass(frozen=True)
@@ -97,23 +106,20 @@ class GradientCheckReport:
     id: ActivationId
     max_rel_error: float
     worst_input: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error <= self.tol
+        return self.max_rel_error <= GRADIENT_CHECK_TOL
 
 
-def gradient_check(id: ActivationId, iv: Interval, n: int = 1000,
-                   tol: float = 1e-5) -> GradientCheckReport:
+def gradient_check(id: ActivationId) -> GradientCheckReport:
     """Compare the analytic derivative against a central difference.
 
-    Samples n evenly spaced points on [iv.lo, iv.hi] (``iv.step`` is unused),
-    dropping those within KINK_GUARD of a kink.  Relative error uses
-    denominator max(1, |g'(z)|).
+    Samples 1000 evenly spaced points on [-6, 6], dropping the few within
+    KINK_GUARD of a kink.  Relative error uses denominator max(1, |g'(z)|).
     """
     kinks = descriptor(id).nondifferentiable_points
-    z = np.linspace(iv.lo, iv.hi, n)
+    z = np.linspace(-6.0, 6.0, 1000)
     for k in kinks:
         z = z[np.abs(z - k) > KINK_GUARD]
 
@@ -121,9 +127,8 @@ def gradient_check(id: ActivationId, iv: Interval, n: int = 1000,
     zp, zm = z + GRADIENT_CHECK_STEP, z - GRADIENT_CHECK_STEP
     numeric = (apply(id, zp) - apply(id, zm)) / (zp - zm)  # slope over the realized interval
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    worst = int(np.argmax(rel)) if rel.size else 0
-    max_err = float(rel[worst]) if rel.size else 0.0
-    return GradientCheckReport(id, max_err, float(z[worst]) if rel.size else math.nan, tol)
+    worst = int(np.argmax(rel))
+    return GradientCheckReport(id, float(rel[worst]), float(z[worst]))
 
 
 @dataclass(frozen=True)
@@ -131,15 +136,14 @@ class SmallValueReport:
     id: ActivationId
     expected: tuple
     measured: tuple
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return (abs(self.measured[0] - self.expected[0]) <= self.tol
-                and abs(self.measured[1] - self.expected[1]) <= self.tol)
+        return (abs(self.measured[0] - self.expected[0]) <= SMALL_VALUE_TOL
+                and abs(self.measured[1] - self.expected[1]) <= SMALL_VALUE_TOL)
 
 
-def small_value_check(id: ActivationId, tol: float = 1e-6) -> SmallValueReport:
+def small_value_check(id: ActivationId) -> SmallValueReport:
     """Verify the tabulated affine behaviour g(z) ~ c0 + c1*z near the origin.
 
     c0 is measured as g(0); c1 by central difference with h = 1e-6 (0 is a
@@ -151,7 +155,7 @@ def small_value_check(id: ActivationId, tol: float = 1e-6) -> SmallValueReport:
     h = 1e-6
     c0 = float(apply(id, np.float64(0.0)))
     c1 = float((apply(id, np.float64(h)) - apply(id, np.float64(-h))) / (2.0 * h))
-    return SmallValueReport(id, sv, (c0, c1), tol)
+    return SmallValueReport(id, sv, (c0, c1))
 
 
 @dataclass(frozen=True)
@@ -161,15 +165,15 @@ class SignEquivalenceReport:
     counterexample: float | None  # a gridpoint z with sign(g(z)) != sign(z)
 
 
-def sign_equivalence_scan(id: ActivationId, iv: Interval) -> SignEquivalenceReport:
-    """Check sign(g(z)) == sign(z) at every gridpoint.
+def sign_equivalence_scan(id: ActivationId) -> SignEquivalenceReport:
+    """Check sign(g(z)) == sign(z) at every DEFAULT_SCAN gridpoint.
 
     The input side uses the dead-zone sign; the value side uses the exact
     float sign (an exact 0.0 counts as sign 0, so ReLU fails at negative z).
     The origin gridpoint is exempt when |g(0)| <= 1e-12, which tolerates
     float dust such as pi*sinc(-pi) = 1.2e-16.
     """
-    grid = iv.grid()
+    grid = DEFAULT_SCAN.grid()
     vals = apply(id, grid)
     sz = sign_with_tol(grid)
     sg = np.sign(vals)
@@ -194,10 +198,10 @@ class RangeScanReport:
         return self.within_range and self.endpoints_approached
 
 
-def range_scan(id: ActivationId, iv: Interval) -> RangeScanReport:
-    """Scan min/max of g and compare against the descriptor's range."""
+def range_scan(id: ActivationId) -> RangeScanReport:
+    """Scan min/max of g on DEFAULT_RANGE_SCAN against the descriptor's range."""
     r = descriptor(id).value_range
-    vals = apply(id, iv.grid())
+    vals = apply(id, DEFAULT_RANGE_SCAN.grid())
     lo, hi = float(vals.min()), float(vals.max())
     within = (lo >= r.lo - 1e-9) and (hi <= r.hi + 1e-9)
     approached = True
@@ -215,9 +219,9 @@ class MonotonicityReport:
     violations: tuple  # first few gridpoints z where g(z+step) < g(z)
 
 
-def monotonicity_scan(id: ActivationId, iv: Interval) -> MonotonicityReport:
-    """True iff g(z+step) >= g(z) at every gridpoint."""
-    grid = iv.grid()
+def monotonicity_scan(id: ActivationId) -> MonotonicityReport:
+    """True iff g(z+step) >= g(z) at every DEFAULT_SCAN gridpoint."""
+    grid = DEFAULT_SCAN.grid()
     vals = apply(id, grid)
     bad = np.flatnonzero(np.diff(vals) < 0)
     return MonotonicityReport(id, bad.size == 0,
@@ -232,16 +236,16 @@ class ContinuityReport:
     max_jump_fine: float
 
 
-def continuity_scan(id: ActivationId, iv: Interval) -> ContinuityReport:
-    """Two-resolution jump test.
+def continuity_scan(id: ActivationId) -> ContinuityReport:
+    """Two-resolution jump test on DEFAULT_SCAN and a grid ten times finer.
 
     For a continuous function the largest adjacent-gridpoint jump shrinks
     roughly linearly with the step; across a jump discontinuity it does not.
     The fine pass runs in blocks of CHUNK_BYTES that overlap by one point, so
     its temporaries reuse heap pages instead of faulting in fresh mappings.
     """
-    coarse = float(np.abs(np.diff(apply(id, iv.grid()))).max())
-    grid = Interval(iv.lo, iv.hi, iv.step / 10.0).grid()
+    coarse = float(np.abs(np.diff(apply(id, DEFAULT_SCAN.grid()))).max())
+    grid = Interval(DEFAULT_SCAN.lo, DEFAULT_SCAN.hi, DEFAULT_SCAN.step / 10.0).grid()
     block = CHUNK_BYTES // grid.itemsize
     fine = max(float(np.abs(np.diff(apply(id, grid[s:s + block]))).max())
                for s in range(0, grid.size - 1, block - 1))
@@ -252,9 +256,6 @@ def continuity_scan(id: ActivationId, iv: Interval) -> ContinuityReport:
 # ---------------------------------------------------------------------------
 # whole-catalog report
 # ---------------------------------------------------------------------------
-
-DEFAULT_SCAN = Interval(-10.0, 10.0, 1e-3)
-DEFAULT_RANGE_SCAN = Interval(-20.0, 20.0, 1e-3)
 
 # Sign-change counts on [-10, 10] for every id whose crossing structure is
 # fully determined by its roots there (touching roots, zero rays and
@@ -298,27 +299,27 @@ def verify_activation(id: ActivationId) -> PropertyRow:
     d = descriptor(id)
     contradictions = []
 
-    cont = continuity_scan(id, DEFAULT_SCAN)
+    cont = continuity_scan(id)
     if cont.continuous != d.continuous:
         contradictions.append("continuity")
 
-    mono = monotonicity_scan(id, DEFAULT_SCAN)
+    mono = monotonicity_scan(id)
     if mono.nondecreasing != d.monotonic:
         contradictions.append("monotonicity")
 
-    rng = range_scan(id, DEFAULT_RANGE_SCAN)
+    rng = range_scan(id)
     if not rng.passed:
         contradictions.append("range")
 
-    sign_eq = sign_equivalence_scan(id, DEFAULT_SCAN)
+    sign_eq = sign_equivalence_scan(id)
     if sign_eq.equivalent != d.sign_equivalent_identity:
         contradictions.append("sign_equivalence")
 
-    zc = zero_crossings(id, DEFAULT_SCAN)
+    zc = zero_crossings(id)
     if id in EXPECTED_CROSSINGS and zc.count != EXPECTED_CROSSINGS[id]:
         contradictions.append("zero_crossings")
 
-    grad = gradient_check(id, Interval(-6.0, 6.0, 1e-2), n=1000, tol=1e-5)
+    grad = gradient_check(id)
     if not grad.passed:
         contradictions.append("gradient")
 
@@ -332,7 +333,7 @@ def verify_activation(id: ActivationId) -> PropertyRow:
         "gradient_max_rel_error": grad.max_rel_error,
     }
     if d.small_value is not None:
-        sv = small_value_check(id, tol=1e-6)
+        sv = small_value_check(id)
         measured["small_value"] = sv.measured
         if not sv.passed:
             contradictions.append("small_value")

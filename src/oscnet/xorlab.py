@@ -126,7 +126,7 @@ def xor_witness(id: ActivationId) -> XorCertificate:
     narrower outer sign region.  w1 = w2 = p/2 if g(b) > 0, else w1 = -w2 = p/2,
     so the -1 (or the +1) points sit at b +- p and the others at b.  It is
     re-scored, and it is the invalid zero neuron if g changes sign under twice."""
-    ends = [0.5 * (lo + hi) for lo, hi in zero_crossings(id, DEFAULT_SCAN).brackets]
+    ends = [0.5 * (lo + hi) for lo, hi in zero_crossings(id).brackets]
     if len(ends) < 2:
         return _certificate_for(id, 0.0, 0.0, 0.0)
     r1, r2, r3 = (ends + [DEFAULT_SCAN.hi])[:3]

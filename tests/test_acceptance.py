@@ -38,10 +38,7 @@ from oscnet.network import (
     train_epoch,
 )
 from oscnet.properties import (
-    DEFAULT_RANGE_SCAN,
-    DEFAULT_SCAN,
     EXPECTED_CROSSINGS,
-    Interval,
     continuity_scan,
     gradient_check,
     monotonicity_scan,
@@ -106,35 +103,35 @@ def test_criterion_2_catalog_property_suite():
     failures = []
     for id in all_ids():
         d = descriptor(id)
-        if continuity_scan(id, DEFAULT_SCAN).continuous != d.continuous:
+        if continuity_scan(id).continuous != d.continuous:
             failures.append(f"{id.value}: continuity scan disagrees")
-        if monotonicity_scan(id, DEFAULT_SCAN).nondecreasing != d.monotonic:
+        if monotonicity_scan(id).nondecreasing != d.monotonic:
             failures.append(f"{id.value}: monotonicity scan disagrees")
-        r = range_scan(id, DEFAULT_RANGE_SCAN)
+        r = range_scan(id)
         if not r.within_range:
             failures.append(f"{id.value}: observed [{r.observed_min}, {r.observed_max}] "
                             f"outside catalog range")
         if not r.endpoints_approached:
             failures.append(f"{id.value}: attained endpoint missed by more than 0.01")
-        if d.small_value is not None and not small_value_check(id, tol=1e-6).passed:
+        if d.small_value is not None and not small_value_check(id).passed:
             failures.append(f"{id.value}: small-value pair off by more than 1e-6")
-        if sign_equivalence_scan(id, DEFAULT_SCAN).equivalent != d.sign_equivalent_identity:
+        if sign_equivalence_scan(id).equivalent != d.sign_equivalent_identity:
             failures.append(f"{id.value}: sign-equivalence scan disagrees")
     from oscnet.properties import zero_crossings
     for id, want in EXPECTED_CROSSINGS.items():
-        got = zero_crossings(id, DEFAULT_SCAN).count
+        got = zero_crossings(id).count
         if got != want:
             failures.append(f"{id.value}: {got} zero crossings on [-10,10], expected {want}")
 
-    squ = range_scan(A.SQU, DEFAULT_RANGE_SCAN)
+    squ = range_scan(A.SQU)
     if squ.observed_min != -0.25:
         failures.append(f"squ: min {squ.observed_min} != -0.25")
-    ssu = range_scan(A.SSU, DEFAULT_RANGE_SCAN)
+    ssu = range_scan(A.SSU)
     if abs(ssu.observed_min - (-0.68)) > 0.01:
         failures.append(f"ssu: min {ssu.observed_min:.4f} not within 0.01 of -0.68")
     if abs(ssu.observed_max - math.pi) > 0.01:
         failures.append(f"ssu: max {ssu.observed_max:.4f} not within 0.01 of pi")
-    dsu = range_scan(A.DSU, DEFAULT_RANGE_SCAN)
+    dsu = range_scan(A.DSU)
     # Tabulated bound ±1.04: unattainable for (pi/2)(sinc(z-pi)-sinc(z+pi)),
     # which reaches pi/2 at z=pi and ±1.6364 at z=±2.631; 1.04 is the extreme
     # of the unscaled sinc difference.  Asserted as tabulated, fails honestly.
@@ -149,7 +146,7 @@ def test_criterion_3_gradient_fidelity():
     the kink guard bands; tiny-model parameter gradients within 1e-3."""
     failures = []
     for id in all_ids():
-        r = gradient_check(id, Interval(-6.0, 6.0, 1e-2), n=1000, tol=1e-5)
+        r = gradient_check(id)
         if not r.passed:
             failures.append(f"{id.value}: max rel err {r.max_rel_error:.2e} at z={r.worst_input}")
 

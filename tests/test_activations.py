@@ -21,7 +21,6 @@ from oscnet.activations import (
     derivative,
     descriptor,
     evaluate,
-    sinc,
 )
 from oscnet.errors import DomainError, KinkError
 
@@ -34,30 +33,6 @@ PARAM_POINTS = {
     A.SELU: lambda p, r: [(1.0, p["scale"]), (-50.0, -p["scale"] * p["alpha"])],
     A.SOFT_ROOT_SIGN: lambda p, r: [(-p["beta"], r.lo)],  # the minimum, at z = -beta
 }
-
-
-class TestSinc:
-    def test_at_zero(self):
-        assert sinc(0.0) == 1.0
-
-    def test_at_pi(self):
-        assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
-
-    def test_at_half_pi(self):
-        assert sinc(math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-14)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            sinc(math.inf)
-
-    @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
-    @settings(max_examples=200)
-    def test_continuous_across_zero(self, z):
-        """sinc stays within [min(sinc), 1] and matches sin(z)/z off zero."""
-        v = sinc(z)
-        assert -0.22 <= v <= 1.0
-        if abs(z) > 1e-8:
-            assert v == pytest.approx(math.sin(z) / z, rel=1e-12)
 
 
 class TestEvaluate:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from oscnet import xorlab
@@ -42,6 +43,17 @@ class TestProperties:
         run(["properties", "--out-dir", tmp_path / "b"])
         for name in ("properties.json", "properties.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.skipif(np.__version__ != "2.4.6",
+                        reason="digests were recorded with numpy 2.4.6 on x86-64")
+    def test_default_reports_match_the_recorded_digests(self, tmp_path):
+        """sha256 of both reports, as recorded before the scans lost their window arguments."""
+        assert run(["properties", "--out-dir", tmp_path]) == EXIT_OK
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("properties.json") == \
+            "639626ce0879b61d40588bb9e590cc26d0a43ea070eb561ed5058fee66d7e566"
+        assert digest("properties.csv") == \
+            "1c0bd5a5099f883335caad4d649e7b5b7fece3a583317dd82519584c6ffe5cd6"
 
 
 class TestXor:
@@ -310,6 +322,25 @@ class TestEmitPlots:
         assert run(["emit-plots", "--records", rec, "--out-dir", tmp_path]) == EXIT_DATA
         err = capsys.readouterr().err
         assert str(rec) in err and "line 2" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("activation", 7), ("activation", None), ("conv_layers", 2.7), ("conv_layers", True),
+        ("epoch", True), ("epoch", "1"), ("test_top1", "0.5"), ("test_top1", False),
+    ])
+    def test_mistyped_field_is_a_data_error_naming_file_and_line(self, tmp_path, capsys,
+                                                                  field, value):
+        good = {"activation": "relu", "conv_layers": 1, "epoch": 1, "test_top1": 0.5}
+        rec = tmp_path / "r.jsonl"
+        self._records(rec, [good, {**good, field: value}])
+        assert run(["emit-plots", "--records", rec, "--out-dir", tmp_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(rec) in err and "line 2" in err and field in err
+
+    def test_integer_accuracy_is_written_as_a_float(self, tmp_path):
+        rec = tmp_path / "r.jsonl"
+        self._records(rec, [{"activation": "relu", "conv_layers": 1, "epoch": 1, "test_top1": 1}])
+        assert run(["emit-plots", "--records", rec, "--out-dir", tmp_path]) == EXIT_OK
+        assert (tmp_path / "accuracy_vs_epoch.csv").read_text().splitlines()[1] == "relu,1,1,1.0"
 
     def test_missing_file_is_a_data_error(self, tmp_path):
         assert run(["emit-plots", "--records", tmp_path / "nope.jsonl",

@@ -568,38 +568,32 @@ class TestActivationLayer:
 
 
 class TestDropout:
-    def test_rate_zero_is_identity(self):
-        x = RNG.standard_normal((5, 5))
-        y, mask = layers.dropout_forward(x, 0.0, train=True, rng=np.random.default_rng(0))
-        assert mask is None
-        np.testing.assert_array_equal(y, x)
-
     def test_eval_mode_is_identity(self):
         x = RNG.standard_normal((5, 5))
-        y, mask = layers.dropout_forward(x, 0.5, train=False)
+        y, mask = layers.dropout_forward(x, train=False)
         assert mask is None
         np.testing.assert_array_equal(y, x)
 
     def test_inverted_scaling_keeps_the_mean(self):
         x = np.ones(1_000_000, dtype=np.float32)
-        y, _ = layers.dropout_forward(x, 0.5, train=True, rng=np.random.default_rng(7))
+        y, _ = layers.dropout_forward(x, train=True, rng=np.random.default_rng(7))
         assert abs(float(y.mean()) - 1.0) < 0.01
 
     def test_survivors_scaled_by_keep_inverse(self):
         x = np.ones(1000)
-        y, _ = layers.dropout_forward(x, 0.2, train=True, rng=np.random.default_rng(3))
+        y, _ = layers.dropout_forward(x, train=True, rng=np.random.default_rng(3))
         kept = y[y != 0]
-        np.testing.assert_allclose(kept, 1.0 / 0.8)
+        np.testing.assert_allclose(kept, 2.0)  # 1/(1 - DROPOUT_RATE)
 
     def test_backward_reuses_the_mask(self):
         x = np.ones((4, 4))
-        y, mask = layers.dropout_forward(x, 0.5, train=True, rng=np.random.default_rng(5))
+        y, mask = layers.dropout_forward(x, train=True, rng=np.random.default_rng(5))
         dy = RNG.standard_normal((4, 4))
         np.testing.assert_array_equal(layers.dropout_backward(dy, mask), dy * mask)
 
-    def test_rejects_rate_one(self):
-        with pytest.raises(ValueError):
-            layers.dropout_forward(np.ones(3), 1.0, train=True, rng=np.random.default_rng(0))
+    def test_train_mode_needs_a_generator(self):
+        with pytest.raises(ValueError, match="Generator"):
+            layers.dropout_forward(np.ones(3), train=True)
 
 
 class TestSoftmaxCrossEntropy:

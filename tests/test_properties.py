@@ -14,7 +14,6 @@ import pytest
 from oscnet.activations import ActivationId, all_ids, apply, descriptor
 from oscnet.errors import ConfigError, UnsupportedPropertyError
 from oscnet.properties import (
-    DEFAULT_RANGE_SCAN,
     DEFAULT_SCAN,
     EXPECTED_CROSSINGS,
     Interval,
@@ -61,11 +60,11 @@ class TestInterval:
 class TestZeroCrossings:
     @pytest.mark.parametrize("id,count", sorted(EXPECTED_CROSSINGS.items()))
     def test_counts_on_default_window(self, id, count):
-        assert zero_crossings(id, DEFAULT_SCAN).count == count
+        assert zero_crossings(id).count == count
 
     def test_squ_brackets_near_its_roots(self):
         """z^2 + z = z(z+1): roots exactly at 0 and -1."""
-        r = zero_crossings(A.SQU, DEFAULT_SCAN)
+        r = zero_crossings(A.SQU)
         assert r.count == 2
         assert any(abs(z) < 1e-9 for z in r.exact_zeros)
         assert any(abs(z + 1.0) < 1e-9 for z in r.exact_zeros)
@@ -74,12 +73,12 @@ class TestZeroCrossings:
 
     @pytest.mark.parametrize("id", all_ids())
     def test_one_bracket_per_counted_crossing(self, id):
-        r = zero_crossings(id, DEFAULT_SCAN)
+        r = zero_crossings(id)
         assert len(r.brackets) == r.count
 
     def test_gcu_brackets_near_cosine_roots(self):
         """z cos z = 0 at 0 and odd multiples of pi/2."""
-        r = zero_crossings(A.GCU, DEFAULT_SCAN)
+        r = zero_crossings(A.GCU)
         roots = [0.0] + [s * k * math.pi / 2 for s in (-1, 1) for k in (1, 3, 5)]
         located = [0.5 * (lo + hi) for lo, hi in r.brackets] + list(r.exact_zeros)
         for root in roots:
@@ -87,24 +86,20 @@ class TestZeroCrossings:
 
     def test_touching_root_is_not_a_crossing(self):
         """z^2 cos z touches zero at the origin without changing sign."""
-        r = zero_crossings(A.Z_SQ_COS, DEFAULT_SCAN)
+        r = zero_crossings(A.Z_SQ_COS)
         assert any(abs(z) < 1e-9 for z in r.exact_zeros)
         assert all(not (lo < 0 < hi) for lo, hi in r.brackets)
-
-    def test_rejects_coarse_step(self):
-        with pytest.raises(ConfigError):
-            zero_crossings(A.SINE, Interval(-10, 10, 0.5))
 
 
 class TestGradientCheck:
     def test_identity_is_exact(self):
-        r = gradient_check(A.IDENTITY, Interval(-6, 6, 1e-2), n=100, tol=1e-6)
+        r = gradient_check(A.IDENTITY)
         assert r.max_rel_error == 0.0
         assert r.passed
 
     @pytest.mark.parametrize("id", all_ids())
     def test_analytic_matches_central_difference(self, id):
-        r = gradient_check(id, Interval(-6, 6, 1e-2), n=1000, tol=1e-5)
+        r = gradient_check(id)
         assert r.passed, f"{id.value}: max rel err {r.max_rel_error:.3e} at z={r.worst_input}"
 
     def test_mish_slope_at_origin(self):
@@ -143,41 +138,41 @@ class TestSmallValue:
     @pytest.mark.parametrize(
         "id", [i for i in all_ids() if descriptor(i).small_value is not None])
     def test_every_tabulated_pair_verifies(self, id):
-        assert small_value_check(id, tol=1e-6).passed
+        assert small_value_check(id).passed
 
 
 class TestSignEquivalence:
     @pytest.mark.parametrize("id", all_ids())
     def test_scan_agrees_with_catalog(self, id):
-        r = sign_equivalence_scan(id, DEFAULT_SCAN)
+        r = sign_equivalence_scan(id)
         assert r.equivalent == descriptor(id).sign_equivalent_identity, id.value
 
     def test_gcu_counterexample_is_genuine(self):
         """2 cos 2 < 0 while sign(2) > 0; the scan's witness must violate too."""
         assert 2.0 * math.cos(2.0) < 0
-        r = sign_equivalence_scan(A.GCU, DEFAULT_SCAN)
+        r = sign_equivalence_scan(A.GCU)
         assert not r.equivalent
         z = r.counterexample
         assert float(sign_with_tol(z)) != np.sign(apply(A.GCU, np.float64(z)))
 
     def test_relu_fails_on_negative_inputs(self):
         """relu(-1) = 0 cannot match sign(-1) = -1."""
-        r = sign_equivalence_scan(A.RELU, DEFAULT_SCAN)
+        r = sign_equivalence_scan(A.RELU)
         assert not r.equivalent
         assert r.counterexample < 0
 
     def test_bipolar_sigmoid_holds(self):
-        assert sign_equivalence_scan(A.BIPOLAR_SIGMOID, DEFAULT_SCAN).equivalent
+        assert sign_equivalence_scan(A.BIPOLAR_SIGMOID).equivalent
 
     def test_gelu_survives_tail_underflow(self):
         """GELU's negative tail is ~1e-38 near z=-10 but keeps its sign."""
-        assert sign_equivalence_scan(A.GELU, DEFAULT_SCAN).equivalent
+        assert sign_equivalence_scan(A.GELU).equivalent
 
 
 class TestRangeScan:
     def test_squ_minimum(self):
         """min of z^2+z is -1/4 at z = -1/2."""
-        r = range_scan(A.SQU, DEFAULT_RANGE_SCAN)
+        r = range_scan(A.SQU)
         assert r.passed and r.observed_min == -0.25
 
     def test_dsu_extremes_match_formula(self):
@@ -187,20 +182,20 @@ class TestRangeScan:
         z = ±2.63099585..., value ±1.63640814 (note f(pi) = pi/2 already
         exceeds 1.04, so no smaller bound is possible).
         """
-        r = range_scan(A.DSU, DEFAULT_RANGE_SCAN)
+        r = range_scan(A.DSU)
         assert r.passed
         assert r.observed_min == pytest.approx(-1.636408136824882, abs=1e-6)
         assert r.observed_max == pytest.approx(+1.636408136824882, abs=1e-6)
 
     def test_ssu_min_and_max(self):
         """pi*sinc(z-pi): max pi at z=pi; min pi*cos(x*) with tan x* = x*."""
-        r = range_scan(A.SSU, Interval(-40, 40, 1e-3))
+        r = range_scan(A.SSU)
         assert r.observed_min == pytest.approx(-0.68, abs=0.01)
         assert r.observed_max == pytest.approx(math.pi, abs=1e-6)
 
     def test_silu_interior_minimum(self):
         """At the minimum of z*sigmoid(z), 1+z(1-sigmoid(z))=0, so min = z*+1."""
-        r = range_scan(A.SILU, DEFAULT_RANGE_SCAN)
+        r = range_scan(A.SILU)
         assert r.passed
         grid = np.linspace(-2.0, -0.5, 300001)  # independent dense oracle
         oracle = float(apply(A.SILU, grid).min())
@@ -209,43 +204,43 @@ class TestRangeScan:
 
     def test_srs_minimum_at_minus_beta(self):
         """z/(z/a+e^(-z/b)) is stationary at z=-b with value ab/(b-ae)."""
-        r = range_scan(A.SOFT_ROOT_SIGN, DEFAULT_RANGE_SCAN)
+        r = range_scan(A.SOFT_ROOT_SIGN)
         a, b = 2.0, 3.0
         assert r.passed
         assert r.observed_min == pytest.approx(a * b / (b - a * math.e), abs=1e-9)
 
     @pytest.mark.parametrize("id", all_ids())
     def test_every_id_within_catalog_range(self, id):
-        assert range_scan(id, DEFAULT_RANGE_SCAN).passed, id.value
+        assert range_scan(id).passed, id.value
 
 
 class TestMonotonicity:
     def test_tanh_is_nondecreasing(self):
-        assert monotonicity_scan(A.TANH, DEFAULT_SCAN).nondecreasing
+        assert monotonicity_scan(A.TANH).nondecreasing
 
     def test_monotonic_cubic_is_nondecreasing(self):
-        assert monotonicity_scan(A.MONOTONIC_CUBIC, DEFAULT_SCAN).nondecreasing
+        assert monotonicity_scan(A.MONOTONIC_CUBIC).nondecreasing
 
     def test_sine_is_not(self):
-        r = monotonicity_scan(A.SINE, DEFAULT_SCAN)
+        r = monotonicity_scan(A.SINE)
         assert not r.nondecreasing and len(r.violations) > 0
 
     def test_silu_dips_before_its_minimum(self):
         """z*sigmoid(z) decreases on (-inf, -1.2785)."""
-        r = monotonicity_scan(A.SILU, DEFAULT_SCAN)
+        r = monotonicity_scan(A.SILU)
         assert not r.nondecreasing
         assert all(v < -1.2 for v in r.violations)
 
     @pytest.mark.parametrize("id", all_ids())
     def test_scan_agrees_with_catalog(self, id):
-        r = monotonicity_scan(id, DEFAULT_SCAN)
+        r = monotonicity_scan(id)
         assert r.nondecreasing == descriptor(id).monotonic, id.value
 
 
 class TestContinuity:
     @pytest.mark.parametrize("id", all_ids())
     def test_scan_agrees_with_catalog(self, id):
-        r = continuity_scan(id, DEFAULT_SCAN)
+        r = continuity_scan(id)
         assert r.continuous == descriptor(id).continuous, id.value
 
     @pytest.mark.parametrize("id", all_ids())
@@ -253,10 +248,10 @@ class TestContinuity:
         """The fine pass runs in overlapping blocks; its max jump is the one-pass one, bit for bit."""
         fine = Interval(DEFAULT_SCAN.lo, DEFAULT_SCAN.hi, DEFAULT_SCAN.step / 10.0).grid()
         one_pass = float(np.abs(np.diff(apply(id, fine))).max())
-        assert continuity_scan(id, DEFAULT_SCAN).max_jump_fine == one_pass
+        assert continuity_scan(id).max_jump_fine == one_pass
 
     def test_signum_jump_does_not_shrink(self):
-        r = continuity_scan(A.SIGNUM, DEFAULT_SCAN)
+        r = continuity_scan(A.SIGNUM)
         assert not r.continuous
         assert r.max_jump_fine == pytest.approx(r.max_jump_coarse, rel=1e-12)
 
