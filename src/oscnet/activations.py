@@ -19,9 +19,13 @@ through DRAM and often freshly mapped.  So an input of more than CHUNK_BYTES
 runs through its kernel one 1-d slice of CHUNK_BYTES at a time: the outputs
 are allocated once with ``np.empty_like(z)``, so an NCHW view of NHWC memory
 stays NHWC, z is read in their memory order, and each slice's g and g' are
-copied into them.  Every temporary is then chunk-sized and stays in L2.  Each
-kernel is elementwise, so the results are bitwise equal to one pass over the
-whole input, with the same shape, dtype and memory layout.  Inputs of at most
+copied into them.  Every temporary is then chunk-sized and stays in L2.  The
+chunks are cut into contiguous runs, one per worker and one worker per core
+(see _workers); each run writes only its own slices of g and g', under the
+caller's numpy error state, and holds a few chunks of temporaries at a time,
+so the peak is the outputs plus a few chunks per worker.  Each kernel is
+elementwise, so the results are bitwise equal to one pass over the whole
+input, with the same shape, dtype and memory layout, at any worker count.  Inputs of at most
 CHUNK_BYTES (0-d ``evaluate``/``derivative`` calls, the XOR trainer's four
 points) and broadcast inputs (a zero stride) take that one pass.
 CHUNK_BYTES = 256 KiB comes from a sweep of ``apply_with_grad`` on a
@@ -40,6 +44,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _workers
 from .errors import DomainError, KinkError
 
 COUNTABLY_INFINITE = math.inf
@@ -507,10 +512,14 @@ def _run(id: ActivationId, z, n: int) -> tuple:
     src = z.ravel(order="K")  # a view unless z's memory is not one run
     dsts = [out.ravel(order="K") for out in outs]  # always views
     step = CHUNK_BYTES // z.itemsize
-    for i in range(0, z.size, step):
-        run = kernel(src[i:i + step])
-        for dst in dsts:  # g, then g'
-            dst[i:i + step] = next(run)
+
+    def chunks(start, stop):
+        for i in range(start * step, min(stop * step, z.size), step):
+            run = kernel(src[i:i + step])
+            for dst in dsts:  # g, then g'
+                dst[i:i + step] = next(run)
+
+    _workers.runs(-(-z.size // step), chunks)
     return outs
 
 

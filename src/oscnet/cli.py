@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -195,9 +196,15 @@ def _read_records(path: Path) -> list:
                 for key, types in _RECORD_TYPES.items():
                     if isinstance(row[key], bool) or not isinstance(row[key], types):
                         raise TypeError(f"{key} {row[key]!r} has type {type(row[key]).__name__}")
+                for key in ("conv_layers", "epoch"):
+                    if row[key] < 1:
+                        raise ValueError(f"{key} {row[key]!r} is below 1")
+                if not math.isfinite(row["test_top1"]):
+                    raise ValueError(f"test_top1 {row['test_top1']!r} is not finite")
                 rows.append((row["activation"], row["conv_layers"], row["epoch"],
                              float(row["test_top1"])))
-            except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            # JSON and UTF-8 errors are ValueErrors; a huge int test_top1 overflows a float
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}: bad record at line {lineno}: {exc}")
     return rows
 

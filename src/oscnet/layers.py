@@ -36,6 +36,17 @@ channels-last memory, and elementwise kernels keep that layout.  The pool's
 input gradient takes the layout of its input x, channels-last in a model.
 So the patch copies read x and dy, and the dW GEMM reads dy, without a
 transposing copy.  Any layout is accepted as input; only speed differs.
+
+The conv's patch blocks and the pool's image blocks run side by side, one
+contiguous run of blocks per worker and one worker per core (see _workers),
+under the caller's numpy error state.  Each conv run fills its own patch
+buffers and writes only its own blocks of the output, and each pool run only
+its own images, so every block is the one a single loop builds.  dW is
+summed in block order: the first run adds its blocks' products into dW as it
+goes, the later runs return theirs, and the caller adds those in run order,
+so dW is bitwise the sequential sum at any worker count.  The NaN and
+signed-zero fix-ups of the pool forward, db and the dense layers run on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _workers
 from .activations import CHUNK_BYTES, ActivationId, apply, apply_with_grad
 from .activations import apply_grad  # noqa: F401  perfbench/spans.py hooks layers.apply_grad by name
 from .errors import LabelError, ShapeError
@@ -57,28 +69,42 @@ BLOCK_BYTES = 1 << 20
 DROPOUT_RATE = 0.5
 
 
-def _patch_blocks(x: np.ndarray, dtype):
-    """Yield (slice, col) for blocks of whole images of x (N,C,H,W): col is
-    the (nb*H*W, 9C) patch matrix of x[slice] in dtype, columns in (ki, kj, C)
-    order.  Each block is copied into the interior of one zero-bordered NHWC
-    buffer, and one copy through a single window view of that buffer fills
-    the patch buffer.  A block holds as many images as fit their patch
+def _block_images(x: np.ndarray, dtype) -> int:
+    """Images per patch block of x (N,C,H,W): as many as fit their patch
     matrix into BLOCK_BYTES, at least one; a zero-byte image counts as one
-    byte.  Both buffers are reused, so col is valid until the next block."""
+    byte."""
+    n, c, h, w = x.shape
+    per_image = h * w * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
+    return max(1, min(n, BLOCK_BYTES // max(1, per_image)))
+
+
+def _patch_blocks(x: np.ndarray, dtype, step: int, start: int, stop: int):
+    """Yield (slice, col) for the blocks of ``step`` whole images of x
+    (N,C,H,W) that start at blocks start..stop-1: col is the (nb*H*W, 9C)
+    patch matrix of x[slice] in dtype, columns in (ki, kj, C) order.  Each
+    block is copied into the interior of one zero-bordered NHWC buffer, and
+    one copy through a single window view of that buffer fills the patch
+    buffer.  Both buffers belong to this call and are reused, so col is
+    valid until the next block."""
     n, c, h, w = x.shape
     if h == 0 or w == 0:  # no patches, and no 3x3 window fits the border
         return
-    per_image = h * w * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
-    step = max(1, min(n, BLOCK_BYTES // max(1, per_image)))
     buf = np.zeros((step, h + 2 * PAD, w + 2 * PAD, c), dtype=dtype)
     win = sliding_window_view(buf, (KERNEL, KERNEL), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
     cols = np.empty(win.shape, dtype=dtype)  # (step, H, W, ki, kj, C)
-    for i in range(0, n, step):
+    for i in range(start * step, min(stop * step, n), step):
         blk = slice(i, min(i + step, n))
         nb = blk.stop - i
         buf[:nb, PAD:PAD + h, PAD:PAD + w] = x[blk].transpose(0, 2, 3, 1)
         cols[:nb] = win[:nb]
         yield blk, cols[:nb].reshape(nb * h * w, KERNEL * KERNEL * c)
+
+
+def _block_runs(x: np.ndarray, dtype, fn) -> list:
+    """fn(step, start, stop) on contiguous runs of x's patch blocks, one
+    run per worker (see _workers); the results in block order."""
+    step = _block_images(x, dtype)
+    return _workers.runs(-(-x.shape[0] // step), lambda lo, hi: fn(step, lo, hi))
 
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -89,16 +115,21 @@ def _weight_matrix(w: np.ndarray) -> np.ndarray:
 def _conv(x: np.ndarray, w: np.ndarray, dtype, b: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation of x (N,C,H,W) with w (K,C,3,3), plus b if given, as
     an (N,H,W,K) array of dtype: one GEMM per patch block, written into
-    that block of the output."""
+    that block of the output, with the blocks split into runs across the
+    workers."""
     n, _, h, wd = x.shape
     k = w.shape[0]
     wmat_t = _weight_matrix(w).T
     y = np.empty((n, h, wd, k), dtype=dtype)
-    for blk, col in _patch_blocks(x, dtype):
-        y_blk = y[blk].reshape(col.shape[0], k)
-        np.matmul(col, wmat_t, out=y_blk)
-        if b is not None:
-            y_blk += b
+
+    def run(step, start, stop):
+        for blk, col in _patch_blocks(x, dtype, step, start, stop):
+            y_blk = y[blk].reshape(col.shape[0], k)
+            np.matmul(col, wmat_t, out=y_blk)
+            if b is not None:
+                y_blk += b
+
+    _block_runs(x, dtype, run)
     return y
 
 
@@ -130,8 +161,19 @@ def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     db = dmat.sum(axis=(0, 1, 2))
     dtype = np.result_type(dy, x, w)
     dwmat = np.zeros((k, KERNEL * KERNEL * c), dtype=dtype)
-    for blk, col in _patch_blocks(x, dtype):
-        dwmat += dmat[blk].reshape(col.shape[0], k).T @ col
+
+    def run(step, start, stop):
+        prods = (dmat[blk].reshape(col.shape[0], k).T @ col
+                 for blk, col in _patch_blocks(x, dtype, step, start, stop))
+        if start == 0:  # the first run's blocks come first in the sum: add them now
+            for prod in prods:
+                np.add(dwmat, prod, out=dwmat)
+            return []
+        return list(prods)
+
+    for prods in _block_runs(x, dtype, run):  # the later runs' products, in block order
+        for prod in prods:
+            dwmat += prod
     dw = np.ascontiguousarray(dwmat.reshape(k, KERNEL, KERNEL, c).transpose(0, 3, 1, 2))
     if not need_dx:
         return None, dw, db
@@ -147,13 +189,22 @@ def _quadrants(x: np.ndarray):
     return [x[:, :, i::2, j::2] for i, j in _QUADRANTS]
 
 
-def _max4(a, b, c, d):
+def _max4(a, b, c, d, out=None):
     """max(max(max(d, c), b), a): folding from the last window position, so
     where np.maximum returns its second operand on a tie the earlier
     position wins it."""
-    y = np.maximum(d, c)
+    y = np.maximum(d, c, out=out)
     np.maximum(y, b, out=y)
     return np.maximum(y, a, out=y)
+
+
+def _image_runs(x: np.ndarray, fn) -> None:
+    """fn(start, stop) on contiguous runs of x's images, one run per worker
+    (see _workers), cut at blocks of about CHUNK_BYTES of x, so an input of
+    at most a few chunks runs inline."""
+    step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
+    n = x.shape[0]
+    _workers.runs(-(-n // step), lambda lo, hi: fn(lo * step, min(hi * step, n)))
 
 
 def _fold_keeps_first_zero() -> bool:
@@ -208,7 +259,8 @@ def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
     q = _quadrants(x)
-    y = _max4(*q)
+    y = np.empty_like(q[0])  # the layout np.maximum would give it
+    _image_runs(x, lambda lo, hi: _max4(*(s[lo:hi] for s in q), out=y[lo:hi]))
     nan = np.isnan(y)
     if nan.any():
         y[nan] = _first_where(q, nan, np.isnan)
@@ -234,30 +286,33 @@ def maxpool2_backward(dy: np.ndarray, cache):
     +0.0 whatever the sign of dy.  dx is written into x when x is writeable
     and of dy's dtype, otherwise into a fresh array."""
     x, y = cache
-    n = x.shape[0]
     dx = x if x.flags.writeable and x.dtype == dy.dtype else np.empty_like(x, dtype=dy.dtype)
     bits = np.dtype(f"i{dy.itemsize}")
     has_nan = np.isnan(y).any()
     step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
-    for i in range(0, n, step):
-        blk = slice(i, i + step)
-        y_blk = y[blk]
-        d_blk = np.empty_like(y_blk, dtype=dy.dtype)
-        d_blk[...] = dy[blk]
-        d_bits = d_blk.view(bits)
-        for k, (s, out) in enumerate(zip(_quadrants(x[blk]), _quadrants(dx[blk]))):
-            if k == 3:  # every window has a maximal position
-                hit = ~claimed
-            else:
-                hit = s == y_blk
-                if has_nan:
-                    hit |= np.isnan(s)
-                if k == 0:
-                    claimed = hit
+
+    def run(start, stop):
+        for i in range(start, stop, step):
+            blk = slice(i, min(i + step, stop))
+            y_blk = y[blk]
+            d_blk = np.empty_like(y_blk, dtype=dy.dtype)
+            d_blk[...] = dy[blk]
+            d_bits = d_blk.view(bits)
+            for k, (s, out) in enumerate(zip(_quadrants(x[blk]), _quadrants(dx[blk]))):
+                if k == 3:  # every window has a maximal position
+                    hit = ~claimed
                 else:
-                    hit = np.greater(hit, claimed)  # hit and not claimed
-                    claimed |= hit
-            np.bitwise_and(d_bits, np.subtract(0, hit, dtype=bits), out=out.view(bits))
+                    hit = s == y_blk
+                    if has_nan:
+                        hit |= np.isnan(s)
+                    if k == 0:
+                        claimed = hit
+                    else:
+                        hit = np.greater(hit, claimed)  # hit and not claimed
+                        claimed |= hit
+                np.bitwise_and(d_bits, np.subtract(0, hit, dtype=bits), out=out.view(bits))
+
+    _image_runs(x, run)
     return dx
 
 

@@ -10,7 +10,6 @@ sigmoid); they are asserted exactly as tabulated and fail with the measured
 values printed rather than being loosened to pass.
 """
 
-import json
 import math
 import time
 
@@ -21,7 +20,6 @@ from conftest import build_synthetic_archive, find_real_cifar10
 from oscnet.activations import (
     ActivationId,
     all_ids,
-    apply,
     derivative,
     descriptor,
     evaluate,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oscnet import activations
+from oscnet import _workers, activations
 from oscnet.activations import (
     COUNTABLY_INFINITE,
     ActivationId,
@@ -281,6 +281,7 @@ class TestChunkedEvaluation:
             assert _layout(got) == _layout(want)
 
     def test_large_inputs_run_in_one_d_chunks(self, monkeypatch):
+        monkeypatch.setattr(_workers, "WORKERS", 1)  # one thread records the chunks in order
         seen = []
         entry = activations._CATALOG[A.GCU]
 
@@ -298,11 +299,10 @@ class TestChunkedEvaluation:
         apply(A.GCU, z[:1, :3])  # 3 elements: at most CHUNK_BYTES, one pass
         assert seen == [(1, 3)]
 
-    @pytest.mark.parametrize("id", [A.DSU, A.SSU, A.GELU])
-    def test_chunked_memory_is_outputs_plus_a_few_chunks(self, id):
-        """apply_with_grad on a (64,32,32,32) float32 NHWC view holds its two
-        outputs and chunk-sized temporaries, not full-size ones: DSU, the
-        hungriest kernel, peaks at about 8 chunks over its outputs."""
+    @staticmethod
+    def _chunks_over_the_outputs(id) -> float:
+        """Peak bytes of apply_with_grad on a (64,32,32,32) float32 NHWC
+        view, less its two outputs, in chunks."""
         rng = np.random.default_rng(0)
         z = (3 * rng.standard_normal((64, 32, 32, 32), dtype=np.float32)).transpose(0, 3, 1, 2)
         tracemalloc.start()
@@ -312,5 +312,21 @@ class TestChunkedEvaluation:
         finally:
             tracemalloc.stop()
         assert g.strides == dg.strides == z.strides  # NHWC stays NHWC
-        chunks = (peak - 2 * z.nbytes) / activations.CHUNK_BYTES
+        return (peak - 2 * z.nbytes) / activations.CHUNK_BYTES
+
+    @pytest.mark.parametrize("id", [A.DSU, A.SSU, A.GELU])
+    def test_chunked_memory_is_outputs_plus_a_few_chunks(self, id, monkeypatch):
+        """On one worker the peak is the two outputs and chunk-sized
+        temporaries, not full-size ones: DSU, the hungriest kernel, peaks at
+        about 8 chunks over its outputs."""
+        monkeypatch.setattr(_workers, "WORKERS", 1)
+        chunks = self._chunks_over_the_outputs(id)
         assert chunks <= 10, f"{id}: peak is the outputs plus {chunks:.1f} chunks"
+
+    @pytest.mark.parametrize("id", [A.DSU, A.SSU, A.GELU])
+    def test_chunked_memory_is_a_few_chunks_per_worker(self, id):
+        """At the default worker count each worker holds its own chunks'
+        temporaries, and no more."""
+        chunks = self._chunks_over_the_outputs(id)
+        assert chunks <= 10 * _workers.WORKERS, \
+            f"{id}: peak is the outputs plus {chunks:.1f} chunks on {_workers.WORKERS} workers"

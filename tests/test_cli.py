@@ -336,6 +336,22 @@ class TestEmitPlots:
         err = capsys.readouterr().err
         assert str(rec) in err and "line 2" in err and field in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("conv_layers", -3), ("conv_layers", 0), ("epoch", 0), ("epoch", -1),
+        ("test_top1", float("nan")), ("test_top1", float("inf")), ("test_top1", -float("inf")),
+        ("test_top1", 10 ** 400),
+    ])
+    def test_value_no_run_writes_is_a_data_error_naming_file_and_line(self, tmp_path, capsys,
+                                                                      field, value):
+        good = {"activation": "relu", "conv_layers": 1, "epoch": 1, "test_top1": 0.5}
+        rec = tmp_path / "r.jsonl"
+        self._records(rec, [good, {**good, field: value}])
+        out = tmp_path / "plots"
+        assert run(["emit-plots", "--records", rec, "--out-dir", out]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(rec) in err and "line 2" in err
+        assert not out.exists()
+
     def test_integer_accuracy_is_written_as_a_float(self, tmp_path):
         rec = tmp_path / "r.jsonl"
         self._records(rec, [{"activation": "relu", "conv_layers": 1, "epoch": 1, "test_top1": 1}])

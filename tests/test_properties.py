@@ -73,8 +73,14 @@ class TestZeroCrossings:
 
     @pytest.mark.parametrize("id", all_ids())
     def test_one_bracket_per_counted_crossing(self, id):
+        """Each bracket spans one sign change of g: g has opposite signs at
+        its ends, and the brackets run left to right without overlapping."""
         r = zero_crossings(id)
-        assert len(r.brackets) == r.count
+        ends = np.array(r.brackets).reshape(-1, 2)
+        assert np.all(ends[:, 0] < ends[:, 1]) and np.all(ends[1:, 0] >= ends[:-1, 1])
+        g = apply(id, ends)
+        np.testing.assert_array_equal(np.sign(g[:, 0]), -np.sign(g[:, 1]))
+        assert np.all(g != 0)
 
     def test_gcu_brackets_near_cosine_roots(self):
         """z cos z = 0 at 0 and odd multiples of pi/2."""

@@ -15,7 +15,10 @@ slow spell of a shared machine does not always hit the same side.
 The output JSON holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's quartiles and per-pair values, ``change_worse_by`` (relative
 median change, positive when worse), ``change_better_in_pairs`` and
-``within_bound``.  ``--claim W:M`` adds ``claimed_gain``: it holds when the
+``within_bound``.  Per workload it also holds each side's per-pair
+``rusage`` of the benchmark process: CPU seconds over wall seconds, and
+involuntary context switches.  A change that runs on more cores loses most
+when a neighbour holds one of them, and these show it.  ``--claim W:M`` adds ``claimed_gain``: it holds when the
 change is better in at least 9 of 10 pairs and its median beats the parent's
 by more than the parent's quartile distance.  ``--traced W:S,S`` adds traced
 pairs (``--trace 1``) with the per-layer metrics and, for each seconds
@@ -26,16 +29,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+RUSAGE = ("cpu_per_wall", "involuntary_switches")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -73,15 +79,22 @@ def export(rev: str, dest: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run: its last stdout line plus the manifest it wrote."""
+    """One benchmark run: its last stdout line, the manifest it wrote and
+    its rusage: CPU seconds over wall seconds, and involuntary context
+    switches, from the deltas of RUSAGE_CHILDREN around the run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    after, wall = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter() - t0
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
     line = json.loads(done.stdout.strip().splitlines()[-1])
     full = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
     line["manifest"] = full["manifest"]
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    line["rusage"] = {"cpu_per_wall": round(cpu / wall, 3),
+                      "involuntary_switches": after.ru_nivcsw - before.ru_nivcsw}
     return line
 
 
@@ -174,6 +187,7 @@ def main(argv=None) -> int:
             "failed": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
             "correct": {s: all(p[s]["correct"] for p in pairs) for s in SIDES},
             "metrics": {spec["name"]: compare(pairs, spec) for spec in bench["end_to_end"]},
+            "rusage": {s: {k: [p[s]["rusage"][k] for p in pairs] for k in RUSAGE} for s in SIDES},
         }
     if args.claim:
         w, m = args.claim.split(":")
