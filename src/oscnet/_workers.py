@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 
 def _cores() -> int:
@@ -40,7 +39,7 @@ def _cores() -> int:
 WORKERS = _cores()
 
 _lock = threading.Lock()
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid of its process, pool)
+_pool = None  # (pid of the process that started it, its ThreadPoolExecutor)
 _local = threading.local()
 
 
@@ -48,11 +47,14 @@ def _mark_pool_thread() -> None:
     _local.in_pool = True
 
 
-def _executor() -> ThreadPoolExecutor:
+def _executor():
     global _pool
     pid = os.getpid()
     with _lock:
         if _pool is None or _pool[0] != pid:  # first use, or a forked child
+            # imported here: it costs about 0.8 MB and a few ms at import,
+            # which the catalog path, which never starts a pool, need not pay
+            from concurrent.futures import ThreadPoolExecutor
             _pool = (pid, ThreadPoolExecutor(max(1, WORKERS - 1), "oscnet-worker",
                                              initializer=_mark_pool_thread))
         return _pool[1]

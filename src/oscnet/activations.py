@@ -21,13 +21,14 @@ are allocated once with ``np.empty_like(z)``, so an NCHW view of NHWC memory
 stays NHWC, z is read in their memory order, and each slice's g and g' are
 copied into them.  Every temporary is then chunk-sized and stays in L2.  The
 chunks are cut into contiguous runs, one per worker and one worker per core
-(see _workers); each run writes only its own slices of g and g', under the
+(see _workers).  Each run writes only its own slices of g and g', under the
 caller's numpy error state, and holds a few chunks of temporaries at a time,
 so the peak is the outputs plus a few chunks per worker.  Each kernel is
-elementwise, so the results are bitwise equal to one pass over the whole
-input, with the same shape, dtype and memory layout, at any worker count.  Inputs of at most
-CHUNK_BYTES (0-d ``evaluate``/``derivative`` calls, the XOR trainer's four
-points) and broadcast inputs (a zero stride) take that one pass.
+elementwise, so at any worker count the results are bitwise equal to one
+pass over the whole input, with the same shape, dtype and memory layout.
+Inputs of at most CHUNK_BYTES (0-d ``evaluate``/``derivative`` calls, the
+XOR trainer's four points) and broadcast inputs (a zero stride) take that
+one pass.
 CHUNK_BYTES = 256 KiB comes from a sweep of ``apply_with_grad`` on a
 (64,32,32,32) float32 NHWC view on a 2-core x86-64 box (numpy 2.4.6).  In ms
 per call at 64/128/256/512/1024 KiB: DSU 11.2/10.2/10.3/10.5/12.3, SSU

@@ -69,23 +69,13 @@ BLOCK_BYTES = 1 << 20
 DROPOUT_RATE = 0.5
 
 
-def _block_images(x: np.ndarray, dtype) -> int:
-    """Images per patch block of x (N,C,H,W): as many as fit their patch
-    matrix into BLOCK_BYTES, at least one; a zero-byte image counts as one
-    byte."""
-    n, c, h, w = x.shape
-    per_image = h * w * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
-    return max(1, min(n, BLOCK_BYTES // max(1, per_image)))
-
-
 def _patch_blocks(x: np.ndarray, dtype, step: int, start: int, stop: int):
-    """Yield (slice, col) for the blocks of ``step`` whole images of x
-    (N,C,H,W) that start at blocks start..stop-1: col is the (nb*H*W, 9C)
-    patch matrix of x[slice] in dtype, columns in (ki, kj, C) order.  Each
-    block is copied into the interior of one zero-bordered NHWC buffer, and
-    one copy through a single window view of that buffer fills the patch
-    buffer.  Both buffers belong to this call and are reused, so col is
-    valid until the next block."""
+    """Yield (slice, col) for blocks start..stop-1 of x (N,C,H,W), each of
+    ``step`` whole images: col is the (nb*H*W, 9C) patch matrix of x[slice]
+    in dtype, columns in (ki, kj, C) order.  Each block is copied into the
+    interior of one zero-bordered NHWC buffer, and one copy through a single
+    window view of that buffer fills the patch buffer.  Both buffers belong
+    to this call and are reused, so col is valid until the next block."""
     n, c, h, w = x.shape
     if h == 0 or w == 0:  # no patches, and no 3x3 window fits the border
         return
@@ -101,10 +91,16 @@ def _patch_blocks(x: np.ndarray, dtype, step: int, start: int, stop: int):
 
 
 def _block_runs(x: np.ndarray, dtype, fn) -> list:
-    """fn(step, start, stop) on contiguous runs of x's patch blocks, one
-    run per worker (see _workers); the results in block order."""
-    step = _block_images(x, dtype)
-    return _workers.runs(-(-x.shape[0] // step), lambda lo, hi: fn(step, lo, hi))
+    """[fn(first, blocks)] for contiguous runs of the patch blocks of x, one
+    run per worker (see _workers), in block order.  blocks is the run's
+    _patch_blocks, and first says whether it holds the first block.  A
+    block holds as many images as fit their patch matrix into BLOCK_BYTES,
+    at least one; a zero-byte image counts as one byte."""
+    n, c, h, w = x.shape
+    per_image = h * w * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
+    step = max(1, min(n, BLOCK_BYTES // max(1, per_image)))
+    return _workers.runs(-(-n // step),
+                         lambda lo, hi: fn(lo == 0, _patch_blocks(x, dtype, step, lo, hi)))
 
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -122,8 +118,8 @@ def _conv(x: np.ndarray, w: np.ndarray, dtype, b: np.ndarray | None = None) -> n
     wmat_t = _weight_matrix(w).T
     y = np.empty((n, h, wd, k), dtype=dtype)
 
-    def run(step, start, stop):
-        for blk, col in _patch_blocks(x, dtype, step, start, stop):
+    def run(first, blocks):
+        for blk, col in blocks:
             y_blk = y[blk].reshape(col.shape[0], k)
             np.matmul(col, wmat_t, out=y_blk)
             if b is not None:
@@ -162,10 +158,9 @@ def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     dtype = np.result_type(dy, x, w)
     dwmat = np.zeros((k, KERNEL * KERNEL * c), dtype=dtype)
 
-    def run(step, start, stop):
-        prods = (dmat[blk].reshape(col.shape[0], k).T @ col
-                 for blk, col in _patch_blocks(x, dtype, step, start, stop))
-        if start == 0:  # the first run's blocks come first in the sum: add them now
+    def run(first, blocks):
+        prods = (dmat[blk].reshape(col.shape[0], k).T @ col for blk, col in blocks)
+        if first:  # these blocks come first in the sum: add them now
             for prod in prods:
                 np.add(dwmat, prod, out=dwmat)
             return []
@@ -198,13 +193,18 @@ def _max4(a, b, c, d, out=None):
     return np.maximum(y, a, out=y)
 
 
-def _image_runs(x: np.ndarray, fn) -> None:
-    """fn(start, stop) on contiguous runs of x's images, one run per worker
-    (see _workers), cut at blocks of about CHUNK_BYTES of x, so an input of
-    at most a few chunks runs inline."""
-    step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
+def _image_blocks(x: np.ndarray, fn) -> None:
+    """fn(slice) for each block of whole images of x holding about
+    CHUNK_BYTES, the blocks cut into contiguous runs, one per worker (see
+    _workers), so an input of a few chunks runs inline."""
     n = x.shape[0]
-    _workers.runs(-(-n // step), lambda lo, hi: fn(lo * step, min(hi * step, n)))
+    step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
+
+    def run(lo, hi):
+        for i in range(lo * step, min(hi * step, n), step):
+            fn(slice(i, min(i + step, n)))
+
+    _workers.runs(-(-n // step), run)
 
 
 def _fold_keeps_first_zero() -> bool:
@@ -260,7 +260,7 @@ def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
     q = _quadrants(x)
     y = np.empty_like(q[0])  # the layout np.maximum would give it
-    _image_runs(x, lambda lo, hi: _max4(*(s[lo:hi] for s in q), out=y[lo:hi]))
+    _image_blocks(x, lambda blk: _max4(*(s[blk] for s in q), out=y[blk]))
     nan = np.isnan(y)
     if nan.any():
         y[nan] = _first_where(q, nan, np.isnan)
@@ -289,30 +289,27 @@ def maxpool2_backward(dy: np.ndarray, cache):
     dx = x if x.flags.writeable and x.dtype == dy.dtype else np.empty_like(x, dtype=dy.dtype)
     bits = np.dtype(f"i{dy.itemsize}")
     has_nan = np.isnan(y).any()
-    step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
 
-    def run(start, stop):
-        for i in range(start, stop, step):
-            blk = slice(i, min(i + step, stop))
-            y_blk = y[blk]
-            d_blk = np.empty_like(y_blk, dtype=dy.dtype)
-            d_blk[...] = dy[blk]
-            d_bits = d_blk.view(bits)
-            for k, (s, out) in enumerate(zip(_quadrants(x[blk]), _quadrants(dx[blk]))):
-                if k == 3:  # every window has a maximal position
-                    hit = ~claimed
+    def block(blk):
+        y_blk = y[blk]
+        d_blk = np.empty_like(y_blk, dtype=dy.dtype)
+        d_blk[...] = dy[blk]
+        d_bits = d_blk.view(bits)
+        for k, (s, out) in enumerate(zip(_quadrants(x[blk]), _quadrants(dx[blk]))):
+            if k == 3:  # every window has a maximal position
+                hit = ~claimed
+            else:
+                hit = s == y_blk
+                if has_nan:
+                    hit |= np.isnan(s)
+                if k == 0:
+                    claimed = hit
                 else:
-                    hit = s == y_blk
-                    if has_nan:
-                        hit |= np.isnan(s)
-                    if k == 0:
-                        claimed = hit
-                    else:
-                        hit = np.greater(hit, claimed)  # hit and not claimed
-                        claimed |= hit
-                np.bitwise_and(d_bits, np.subtract(0, hit, dtype=bits), out=out.view(bits))
+                    hit = np.greater(hit, claimed)  # hit and not claimed
+                    claimed |= hit
+            np.bitwise_and(d_bits, np.subtract(0, hit, dtype=bits), out=out.view(bits))
 
-    _image_runs(x, run)
+    _image_blocks(x, block)
     return dx
 
 

@@ -3,6 +3,7 @@ are bitwise the same at 1, 2 and 3 workers, under the caller's numpy error
 state, and the catalog path and a forked child work as before."""
 
 import os
+import sys
 import threading
 import time
 import warnings
@@ -33,6 +34,16 @@ def assert_same_at_every_count(monkeypatch, compute):
     one, *more = at_each_worker_count(monkeypatch, compute)
     for count, got in zip(WORKER_COUNTS[1:], more):
         assert got == one, f"{count} workers differ from 1"
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool at the start, so the test's first loop starts one at the
+    patched worker count; it is shut down at the end."""
+    monkeypatch.setattr(_workers, "_pool", None)
+    yield
+    if _workers._pool is not None:
+        _workers._pool[1].shutdown()
 
 
 class TestRuns:
@@ -81,13 +92,46 @@ class TestConv:
         w = rng.standard_normal((64, 32, 3, 3)).astype(dtype)
         b = rng.standard_normal(64).astype(dtype)
         dy = nhwc(rng.standard_normal((7, 64, 16, 16)).astype(dtype))
-        assert -(-7 // layers._block_images(x, dtype)) == (3 if dtype == np.float32 else 7)
+        per_image = 16 * 16 * 9 * 32 * np.dtype(dtype).itemsize
+        assert layers.BLOCK_BYTES // per_image == (3 if dtype == np.float32 else 1)
 
         def compute():
             y, cache = layers.conv2d_forward(x, w, b)
             return (y, *layers.conv2d_backward(dy, cache, need_dx))
 
         assert_same_at_every_count(monkeypatch, compute)
+
+
+def test_concurrent_callers_on_more_workers_than_cores(monkeypatch, fresh_pool):
+    """Four threads each run conv backwards on 4 workers, with the
+    interpreter switching threads every microsecond: every dW and dx is
+    the one-worker result, and all of them finish within 60 s."""
+    rng = np.random.default_rng(15)
+    x = nhwc(rng.standard_normal((9, 32, 16, 16)).astype(np.float32))
+    w = rng.standard_normal((16, 32, 3, 3)).astype(np.float32)
+    dy = nhwc(rng.standard_normal((9, 16, 16, 16)).astype(np.float32))
+    cache = (x, w)
+    monkeypatch.setattr(_workers, "WORKERS", 1)
+    want = [a.tobytes() for a in layers.conv2d_backward(dy, cache)]
+    monkeypatch.setattr(_workers, "WORKERS", 4)
+    got = []
+
+    def caller():
+        for _ in range(5):
+            got.append([a.tobytes() for a in layers.conv2d_backward(dy, cache)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 20 and all(g == want for g in got)
 
 
 class TestActivations:
@@ -160,9 +204,8 @@ class TestErrorState:
 
 
 class TestCatalogPathStartsNoThread:
-    def test_properties_then_xor(self, monkeypatch, tmp_path):
+    def test_properties_then_xor(self, monkeypatch, tmp_path, fresh_pool):
         monkeypatch.setattr(_workers, "WORKERS", 2)
-        monkeypatch.setattr(_workers, "_pool", None)
         before = threading.active_count()
         assert main(["properties", "--out-dir", str(tmp_path / "p")]) == EXIT_OK
         assert main(["xor", "gcu", "--out-dir", str(tmp_path / "x")]) == EXIT_OK
@@ -171,7 +214,7 @@ class TestCatalogPathStartsNoThread:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_completes_a_conv(monkeypatch):
+def test_a_forked_child_completes_a_conv(monkeypatch, fresh_pool):
     """The parent's pool threads do not exist in a child, so it starts its own."""
     monkeypatch.setattr(_workers, "WORKERS", 2)
     rng = np.random.default_rng(14)
