@@ -18,9 +18,10 @@ median change, positive when worse), ``change_better_in_pairs`` and
 ``within_bound``.  Per workload it also holds each side's per-pair
 ``rusage`` of the benchmark process: CPU seconds over wall seconds, and
 involuntary context switches.  A change that runs on more cores loses most
-when a neighbour holds one of them, and these show it.  ``--claim W:M`` adds ``claimed_gain``: it holds when the
-change is better in at least 9 of 10 pairs and its median beats the parent's
-by more than the parent's quartile distance.  ``--traced W:S,S`` adds traced
+when a neighbour holds one of them, and these show it.  ``--claim W:M``
+adds ``claimed_gain``: it holds when the change is better in at least 9 of
+10 pairs and its median beats the parent's by more than the parent's
+quartile distance.  ``--traced W:S,S`` adds traced
 pairs (``--trace 1``) with the per-layer metrics and, for each seconds
 metric, milliseconds per conv GFLOP.
 """
