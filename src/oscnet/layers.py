@@ -37,16 +37,15 @@ input gradient takes the layout of its input x, channels-last in a model.
 So the patch copies read x and dy, and the dW GEMM reads dy, without a
 transposing copy.  Any layout is accepted as input; only speed differs.
 
-The conv's patch blocks and the pool's image blocks run side by side, one
-contiguous run of blocks per worker and one worker per core (see _workers),
-under the caller's numpy error state.  Each conv run fills its own patch
-buffers and writes only its own blocks of the output, and each pool run only
-its own images, so every block is the one a single loop builds.  dW is
-summed in block order: the first run adds its blocks' products into dW as it
-goes, the later runs return theirs, and the caller adds those in run order,
-so dW is bitwise the sequential sum at any worker count.  The NaN and
-signed-zero fix-ups of the pool forward, db and the dense layers run on the
-calling thread.
+The conv's patch blocks run side by side, one contiguous run of blocks per
+worker (see _workers for the worker count), under the caller's numpy error
+state.  Each run fills its own patch buffers and writes only its own blocks
+of the output, so every block is the one a single loop builds.  dW is summed
+in block order: the run that starts at block 0 adds its blocks' products
+into dW as it goes, the later runs return theirs, and the caller adds those
+in run order, so dW is bitwise the sequential sum at any worker count.  The
+pool, db and the dense layers run on the calling thread: two workers made
+the pool no faster.
 """
 
 from __future__ import annotations
@@ -91,16 +90,16 @@ def _patch_blocks(x: np.ndarray, dtype, step: int, start: int, stop: int):
 
 
 def _block_runs(x: np.ndarray, dtype, fn) -> list:
-    """[fn(first, blocks)] for contiguous runs of the patch blocks of x, one
-    run per worker (see _workers), in block order.  blocks is the run's
-    _patch_blocks, and first says whether it holds the first block.  A
-    block holds as many images as fit their patch matrix into BLOCK_BYTES,
-    at least one; a zero-byte image counts as one byte."""
+    """[fn(lo, blocks)] for contiguous runs of the patch blocks of x, one run
+    per worker (see _workers), in block order.  lo is the run's first block
+    and blocks its _patch_blocks.  A block holds as many images as fit their
+    patch matrix into BLOCK_BYTES, at least one; a zero-byte image counts as
+    one byte."""
     n, c, h, w = x.shape
     per_image = h * w * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
     step = max(1, min(n, BLOCK_BYTES // max(1, per_image)))
     return _workers.runs(-(-n // step),
-                         lambda lo, hi: fn(lo == 0, _patch_blocks(x, dtype, step, lo, hi)))
+                         lambda lo, hi: fn(lo, _patch_blocks(x, dtype, step, lo, hi)))
 
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ def _conv(x: np.ndarray, w: np.ndarray, dtype, b: np.ndarray | None = None) -> n
     wmat_t = _weight_matrix(w).T
     y = np.empty((n, h, wd, k), dtype=dtype)
 
-    def run(first, blocks):
+    def run(lo, blocks):
         for blk, col in blocks:
             y_blk = y[blk].reshape(col.shape[0], k)
             np.matmul(col, wmat_t, out=y_blk)
@@ -158,9 +157,9 @@ def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     dtype = np.result_type(dy, x, w)
     dwmat = np.zeros((k, KERNEL * KERNEL * c), dtype=dtype)
 
-    def run(first, blocks):
+    def run(lo, blocks):
         prods = (dmat[blk].reshape(col.shape[0], k).T @ col for blk, col in blocks)
-        if first:  # these blocks come first in the sum: add them now
+        if lo == 0:  # these blocks come first in the sum: add them now
             for prod in prods:
                 np.add(dwmat, prod, out=dwmat)
             return []
@@ -184,27 +183,13 @@ def _quadrants(x: np.ndarray):
     return [x[:, :, i::2, j::2] for i, j in _QUADRANTS]
 
 
-def _max4(a, b, c, d, out=None):
+def _max4(a, b, c, d):
     """max(max(max(d, c), b), a): folding from the last window position, so
     where np.maximum returns its second operand on a tie the earlier
     position wins it."""
-    y = np.maximum(d, c, out=out)
+    y = np.maximum(d, c)
     np.maximum(y, b, out=y)
     return np.maximum(y, a, out=y)
-
-
-def _image_blocks(x: np.ndarray, fn) -> None:
-    """fn(slice) for each block of whole images of x holding about
-    CHUNK_BYTES, the blocks cut into contiguous runs, one per worker (see
-    _workers), so an input of a few chunks runs inline."""
-    n = x.shape[0]
-    step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
-
-    def run(lo, hi):
-        for i in range(lo * step, min(hi * step, n), step):
-            fn(slice(i, min(i + step, n)))
-
-    _workers.runs(-(-n // step), run)
 
 
 def _fold_keeps_first_zero() -> bool:
@@ -259,8 +244,7 @@ def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
     q = _quadrants(x)
-    y = np.empty_like(q[0])  # the layout np.maximum would give it
-    _image_blocks(x, lambda blk: _max4(*(s[blk] for s in q), out=y[blk]))
+    y = _max4(*q)
     nan = np.isnan(y)
     if nan.any():
         y[nan] = _first_where(q, nan, np.isnan)
@@ -286,11 +270,13 @@ def maxpool2_backward(dy: np.ndarray, cache):
     +0.0 whatever the sign of dy.  dx is written into x when x is writeable
     and of dy's dtype, otherwise into a fresh array."""
     x, y = cache
+    n = x.shape[0]
     dx = x if x.flags.writeable and x.dtype == dy.dtype else np.empty_like(x, dtype=dy.dtype)
     bits = np.dtype(f"i{dy.itemsize}")
     has_nan = np.isnan(y).any()
-
-    def block(blk):
+    step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
+    for i in range(0, n, step):
+        blk = slice(i, i + step)
         y_blk = y[blk]
         d_blk = np.empty_like(y_blk, dtype=dy.dtype)
         d_blk[...] = dy[blk]
@@ -308,8 +294,6 @@ def maxpool2_backward(dy: np.ndarray, cache):
                     hit = np.greater(hit, claimed)  # hit and not claimed
                     claimed |= hit
             np.bitwise_and(d_bits, np.subtract(0, hit, dtype=bits), out=out.view(bits))
-
-    _image_blocks(x, block)
     return dx
 
 

@@ -91,10 +91,10 @@ def check_pool_against_reference(x: np.ndarray, dy: np.ndarray):
     assert_bitwise(layers.maxpool2_backward(dy, cache), want_dx)
 
 
-def max4_from_the_front(a, b, c, d, out=None):
+def max4_from_the_front(a, b, c, d):
     """The pool's fold in the other order: where np.maximum returns its
     second operand on a tie of +0.0 and -0.0, it keeps the last zero."""
-    return np.maximum(np.maximum(np.maximum(a, b), c), d, out=out)
+    return np.maximum(np.maximum(np.maximum(a, b), c), d)
 
 
 @contextlib.contextmanager

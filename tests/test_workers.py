@@ -1,6 +1,6 @@
-"""The worker count changes no result: conv, activations, pool and training
-are bitwise the same at 1, 2 and 3 workers, under the caller's numpy error
-state, and the catalog path and a forked child work as before."""
+"""The worker count changes no result: conv, activations and training are
+bitwise the same at 1, 2 and 3 workers, under the caller's numpy error state,
+and the catalog path and a forked child work as before."""
 
 import os
 import sys
@@ -43,7 +43,7 @@ def fresh_pool(monkeypatch):
     monkeypatch.setattr(_workers, "_pool", None)
     yield
     if _workers._pool is not None:
-        _workers._pool[1].shutdown()
+        _workers._pool.shutdown()
 
 
 class TestRuns:
@@ -79,6 +79,28 @@ class TestRuns:
 
         with pytest.raises(KeyError):
             _workers.runs(4, fail_late)
+
+
+class TestWorkerCount:
+    """One worker per core at one BLAS thread, and never more workers than
+    the cores leave room for beside the BLAS threads."""
+
+    @pytest.mark.parametrize("env, cores, want", [
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "1"}, 4, 4),
+        ({"MKL_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x"}, 2, 1),
+    ])
+    def test_cores_over_blas_threads(self, monkeypatch, env, cores, want):
+        for var in _workers.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(_workers, "_cores", lambda: cores)
+        assert _workers._worker_count() == want
 
 
 class TestConv:
@@ -145,26 +167,6 @@ class TestActivations:
         z = (4 * np.random.default_rng(12).standard_normal(size)).astype(dtype)
         assert_same_at_every_count(
             monkeypatch, lambda: (activations.apply(id, z), *activations.apply_with_grad(id, z)))
-
-
-class TestPool:
-    @pytest.mark.parametrize("layout", [nhwc, np.ascontiguousarray], ids=["nhwc", "nchw"])
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_forward_and_backward_with_nan_and_signed_zero_windows(self, monkeypatch, dtype,
-                                                                    layout):
-        """41 images of (32,8,8) take 6 blocks of CHUNK_BYTES in float32 and
-        11 in float64; windows hold NaNs and zeros of either sign."""
-        values = np.array([-1.0, -0.0, 0.0, 0.0, np.nan, -np.nan, 1.0], dtype=dtype)
-        rng = np.random.default_rng(13)
-        x = layout(rng.choice(values, size=(41, 32, 8, 8)))
-        dy = layout(rng.standard_normal((41, 32, 4, 4)).astype(dtype))
-
-        def compute():
-            y, cache = layers.maxpool2_forward(x.copy())
-            y_eval, _ = layers.maxpool2_forward(x, with_cache=False)
-            return y, y_eval, layers.maxpool2_backward(dy, cache)
-
-        assert_same_at_every_count(monkeypatch, compute)
 
 
 class TestTraining:
