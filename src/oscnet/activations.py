@@ -20,8 +20,8 @@ runs through its kernel one 1-d slice of CHUNK_BYTES at a time: the outputs
 are allocated once with ``np.empty_like(z)``, so an NCHW view of NHWC memory
 stays NHWC, z is read in their memory order, and each slice's g and g' are
 copied into them.  Every temporary is then chunk-sized and stays in L2.  The
-chunks are cut into contiguous runs, one per worker and one worker per core
-(see _workers).  Each run writes only its own slices of g and g', under the
+chunks are cut into contiguous runs, one per worker (see _workers for the
+worker count).  Each run writes only its own slices of g and g', under the
 caller's numpy error state, and holds a few chunks of temporaries at a time,
 so the peak is the outputs plus a few chunks per worker.  Each kernel is
 elementwise, so at any worker count the results are bitwise equal to one
