@@ -28,7 +28,10 @@ elementwise, so at any worker count the results are bitwise equal to one
 pass over the whole input, with the same shape, dtype and memory layout.
 Inputs of at most CHUNK_BYTES (0-d ``evaluate``/``derivative`` calls, the
 XOR trainer's four points) and broadcast inputs (a zero stride) take that
-one pass.
+one pass.  The chunk loop, _chunks, also runs a CNN conv block's activation
+(``layers.conv_block_forward``) over each patch block's conv output, in
+slices of CHUNK_BYTES from the block's start; where the slices fall changes
+no result, since every kernel is elementwise.
 CHUNK_BYTES = 256 KiB comes from a sweep of ``apply_with_grad`` on a
 (64,32,32,32) float32 NHWC view on a 2-core x86-64 box (numpy 2.4.6).  In ms
 per call at 64/128/256/512/1024 KiB: DSU 11.2/10.2/10.3/10.5/12.3, SSU
@@ -492,6 +495,26 @@ def descriptor(id: ActivationId) -> ActivationDescriptor:
     return _CATALOG[ActivationId(id)]
 
 
+def _kernel(id: ActivationId) -> Callable:
+    """The kernel of ``id``: z -> yields g, then g'."""
+    if not isinstance(id, ActivationId):  # converting a member costs more than the kernel on a scalar
+        id = ActivationId(id)
+    return _CATALOG[id].kernel
+
+
+def _chunks(kernel, src: np.ndarray, dsts, start: int, stop: int) -> None:
+    """Run ``kernel`` over the 1-d ``src[start:stop]`` in slices of CHUNK_BYTES
+    and copy each slice's first ``len(dsts)`` results (g, then g') into the
+    same slice of each 1-d array of ``dsts``.  With one destination it may be
+    src itself: the kernel is not resumed after yielding g."""
+    step = CHUNK_BYTES // src.itemsize
+    for i in range(start, stop, step):
+        j = min(i + step, stop)
+        run = kernel(src[i:j])
+        for dst in dsts:
+            dst[i:j] = next(run)
+
+
 def _run(id: ActivationId, z, n: int) -> tuple:
     """The first ``n`` results of the kernel of ``id`` over ``z``: (g,) or (g, g').
 
@@ -500,12 +523,10 @@ def _run(id: ActivationId, z, n: int) -> tuple:
     A larger one runs in 1-d slices of CHUNK_BYTES, in the memory order of
     outputs allocated once with ``np.empty_like(z)``.
     """
-    if not isinstance(id, ActivationId):  # converting a member costs more than the kernel on a scalar
-        id = ActivationId(id)
+    kernel = _kernel(id)
     z = np.asarray(z)
     if z.dtype.kind != "f":
         z = z.astype(np.float64)
-    kernel = _CATALOG[id].kernel
     if z.nbytes <= CHUNK_BYTES or any(k > 1 and not s for k, s in zip(z.shape, z.strides)):
         run = kernel(z)
         return (next(run),) if n == 1 else (next(run), next(run))
@@ -513,14 +534,8 @@ def _run(id: ActivationId, z, n: int) -> tuple:
     src = z.ravel(order="K")  # a view unless z's memory is not one run
     dsts = [out.ravel(order="K") for out in outs]  # always views
     step = CHUNK_BYTES // z.itemsize
-
-    def chunks(start, stop):
-        for i in range(start * step, min(stop * step, z.size), step):
-            run = kernel(src[i:i + step])
-            for dst in dsts:  # g, then g'
-                dst[i:i + step] = next(run)
-
-    _workers.runs(-(-z.size // step), chunks)
+    _workers.runs(-(-z.size // step), lambda start, stop: _chunks(
+        kernel, src, dsts, start * step, min(stop * step, z.size)))
     return outs
 
 

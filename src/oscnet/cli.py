@@ -8,7 +8,8 @@ xor          train a single neuron on XOR (if training misses, the sign-change
              witness decides unless the catalog rules XOR out), export the
              certificate JSON and decision-boundary CSV
 bench        run the (activation x conv_layers) benchmark matrix on CIFAR-10,
-             streaming one JSON record per epoch plus a summary table
+             streaming one JSON record per epoch plus a summary table and a
+             run manifest
 emit-plots   reshape benchmark records into plottable long-format CSV series
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 property contradiction,
@@ -23,13 +24,14 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import cifar, properties, xorlab
+from . import _workers, cifar, properties, xorlab
 from .activations import ActivationId, all_ids
 from .errors import ConfigError, DataFormatError, DivergenceError, require_positive
 from .network import NetworkConfig, adam_init, build_model, evaluate_top1, train_epoch
@@ -142,6 +144,24 @@ def _bench_cell(net: NetworkConfig, args, train_ds, test_ds, records_fh) -> dict
     }
 
 
+def _bench_manifest(args, data_dir: str) -> dict:
+    """What a bench run's speed and results depend on besides its records:
+    the flags, the seed, the Python, numpy and BLAS versions, the BLAS
+    thread variables and the CNN worker count (see oscnet._workers).  The
+    output directory is left out: the manifest is written into it."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir", "seed")}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "flags": {**flags, "data_dir": str(data_dir)},
+        "seed": args.seed,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_thread_vars": {var: os.environ.get(var) for var in _workers.BLAS_THREAD_VARS},
+        "workers": _workers.WORKERS,
+    }
+
+
 def cmd_bench(args) -> int:
     data_dir = args.data_dir or os.environ.get("OSC_DATA_DIR")
     if not data_dir:
@@ -163,6 +183,7 @@ def cmd_bench(args) -> int:
         test_n = min(len(test_ds), max(args.subset // 5, cifar.NUM_CLASSES))
         test_n -= test_n % cifar.NUM_CLASSES
         test_ds = cifar.stratified_subset(test_ds, test_n, args.seed)
+    _write_json(out / "manifest.json", _bench_manifest(args, data_dir))
 
     summaries = []
     with open(out / "records.jsonl", "w") as records_fh:

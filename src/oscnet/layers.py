@@ -23,6 +23,15 @@ window position, and its training cache is (x, y), its input and its
 read-only output.  Its backward finds each window's first maximal position
 from them.  A backward consumes its cache: call it once per forward.
 
+conv_block_forward is conv2d_forward, activation_forward and
+maxpool2_forward in one pass over the conv's patch blocks: each block's conv
+output stays in a scratch buffer of its run while the activation kernel runs
+over it in CHUNK_BYTES slices and the pool reads the result, so no
+whole-batch conv output is made and the pool runs on every worker.  It
+shares each block's code with those kernels (_conv_block, the activation
+chunk loop, _maxpool2), and its cache is the three kernels' caches, so its
+backward is their three backwards.
+
 The pool backward writes dx into the x it cached whenever x is writeable and
 of dy's dtype, so anything that must outlive the backward reaches a pool
 read-only.  A training pool output is read-only, so a pool fed by another
@@ -39,13 +48,14 @@ transposing copy.  Any layout is accepted as input; only speed differs.
 
 The conv's patch blocks run side by side, one contiguous run of blocks per
 worker (see _workers for the worker count), under the caller's numpy error
-state.  Each run fills its own patch buffers and writes only its own blocks
-of the output, so every block is the one a single loop builds.  dW is summed
-in block order: the run that starts at block 0 adds its blocks' products
-into dW as it goes, the later runs return theirs, and the caller adds those
-in run order, so dW is bitwise the sequential sum at any worker count.  The
-pool, db and the dense layers run on the calling thread: two workers made
-the pool no faster.
+state.  Each run fills its own patch and scratch buffers and writes only its
+own blocks of the outputs, so every block is the one a single loop builds.
+dW is summed in block order: the run that starts at block 0 adds its blocks'
+products into dW as it goes, the later runs return theirs, and the caller
+adds those in run order, so dW is bitwise the sequential sum at any worker
+count.  The pool backward, db and the dense layers run on the calling
+thread, and so does maxpool2_forward outside a conv block: split across
+two workers, the pool backward was slower.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _workers
-from .activations import CHUNK_BYTES, ActivationId, apply, apply_with_grad
+from .activations import CHUNK_BYTES, ActivationId, _chunks, _kernel, apply, apply_with_grad
 from .activations import apply_grad  # noqa: F401  perfbench/spans.py hooks layers.apply_grad by name
 from .errors import LabelError, ShapeError
 
@@ -107,6 +117,15 @@ def _weight_matrix(w: np.ndarray) -> np.ndarray:
     return w.transpose(0, 2, 3, 1).reshape(w.shape[0], KERNEL * KERNEL * w.shape[1])
 
 
+def _conv_block(col: np.ndarray, wmat_t: np.ndarray, b: np.ndarray | None, out: np.ndarray):
+    """One patch block's conv output: col @ wmat_t, plus b if given, into
+    out (rows of col, K); returns out."""
+    np.matmul(col, wmat_t, out=out)
+    if b is not None:
+        out += b
+    return out
+
+
 def _conv(x: np.ndarray, w: np.ndarray, dtype, b: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation of x (N,C,H,W) with w (K,C,3,3), plus b if given, as
     an (N,H,W,K) array of dtype: one GEMM per patch block, written into
@@ -119,20 +138,13 @@ def _conv(x: np.ndarray, w: np.ndarray, dtype, b: np.ndarray | None = None) -> n
 
     def run(lo, blocks):
         for blk, col in blocks:
-            y_blk = y[blk].reshape(col.shape[0], k)
-            np.matmul(col, wmat_t, out=y_blk)
-            if b is not None:
-                y_blk += b
+            _conv_block(col, wmat_t, b, y[blk].reshape(col.shape[0], k))
 
     _block_runs(x, dtype, run)
     return y
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Cross-correlation. x: (N,C,H,W), w: (K,C,3,3), b: (K,) -> (N,K,H,W).
-
-    The cache is (x, w): the input itself, which must not be written before
-    the backward."""
+def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects a 4-d input (N,C,H,W), got shape {x.shape}")
     if w.ndim != 4 or w.shape[1:] != (x.shape[1], KERNEL, KERNEL):
@@ -140,8 +152,71 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
             f"conv2d weights must be (K,{x.shape[1]},{KERNEL},{KERNEL}), got {w.shape}")
     if b.shape != (w.shape[0],):
         raise ShapeError(f"conv2d bias must be ({w.shape[0]},), got {b.shape}")
+
+
+def _check_even(kind: str, h: int, w: int) -> None:
+    if h % 2 or w % 2:
+        raise ShapeError(f"{kind} needs even spatial dims, got {h}x{w}")
+
+
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Cross-correlation. x: (N,C,H,W), w: (K,C,3,3), b: (K,) -> (N,K,H,W).
+
+    The cache is (x, w): the input itself, which must not be written before
+    the backward."""
+    _check_conv(x, w, b)
     y = _conv(x, w, np.result_type(x, w, b), b)
     return y.transpose(0, 3, 1, 2), (x, w)
+
+
+def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: ActivationId,
+                       with_cache: bool = True):
+    """maxpool2(activation(conv2d(x, w, b), id)) in one pass per patch block.
+
+    Each block's conv output goes into a scratch buffer of its run, its
+    activation runs over that buffer in CHUNK_BYTES slices, and the pool
+    reads the activation while it is still in cache and writes the block's
+    rows of y.  The cache is the three layers' caches, ((x, w), g'(z),
+    (g(z), y)) with z the conv output, so the backward is maxpool2_backward,
+    activation_backward and conv2d_backward in turn; g and g' are written
+    straight into whole-batch NHWC arrays, and y is read-only.
+    with_cache=False computes g in the scratch buffer, holds no whole-batch
+    array but y, and gives a writeable y and the cache None.  Every result
+    is bitwise the one of the three kernels.  Non-float inputs run in
+    float64, as the activation would run them."""
+    _check_conv(x, w, b)
+    n, _, h, wd = x.shape
+    _check_even("conv block", h, wd)
+    k = w.shape[0]
+    dtype = np.result_type(x, w, b)
+    if dtype.kind != "f":
+        dtype = np.dtype(np.float64)
+    kernel = _kernel(id)
+    wmat_t = _weight_matrix(w).T
+    y = np.empty((n, h // 2, wd // 2, k), dtype=dtype).transpose(0, 3, 1, 2)
+    if with_cache:
+        g, grad = np.empty((n, h, wd, k), dtype=dtype), np.empty((n, h, wd, k), dtype=dtype)
+
+    def run(lo, blocks):
+        z = None
+        for blk, col in blocks:
+            rows = col.shape[0]
+            if z is None:  # a run's first block is its largest
+                z = np.empty((rows, k), dtype=dtype)
+            src = _conv_block(col, wmat_t, b, z[:rows]).reshape(-1)
+            if with_cache:
+                act = g[blk]
+                _chunks(kernel, src, (act.reshape(-1), grad[blk].reshape(-1)), 0, src.size)
+            else:
+                act = src.reshape(-1, h, wd, k)
+                _chunks(kernel, src, (src,), 0, src.size)
+            _maxpool2(act.transpose(0, 3, 1, 2), y[blk])
+
+    _block_runs(x, dtype, run)
+    if not with_cache:
+        return y, None
+    y.flags.writeable = False  # a later pool may take y as its x (see the module docstring)
+    return y, ((x, w), grad.transpose(0, 3, 1, 2), (g.transpose(0, 3, 1, 2), y))
 
 
 def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
@@ -183,11 +258,11 @@ def _quadrants(x: np.ndarray):
     return [x[:, :, i::2, j::2] for i, j in _QUADRANTS]
 
 
-def _max4(a, b, c, d):
-    """max(max(max(d, c), b), a): folding from the last window position, so
-    where np.maximum returns its second operand on a tie the earlier
-    position wins it."""
-    y = np.maximum(d, c)
+def _max4(a, b, c, d, out=None):
+    """max(max(max(d, c), b), a), into out if given: folding from the last
+    window position, so where np.maximum returns its second operand on a tie
+    the earlier position wins it."""
+    y = np.maximum(d, c, out=out)
     np.maximum(y, b, out=y)
     return np.maximum(y, a, out=y)
 
@@ -225,26 +300,18 @@ def _first_where(quadrants, windows, hit):
     return first
 
 
-def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
-    """2x2 non-overlapping max pool: y is bitwise x at each window's first
-    maximal position, the position argmax over the window gives (a NaN
-    counts as maximal), so a leading -0.0 keeps its sign.
+def _maxpool2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The pool of an (N,C,H,W) x with even H and W, into out if given.
 
-    The cache is (x, y), and y is read-only; with_cache=False gives a
-    writeable y and the cache None.  np.maximum gives the right magnitude;
-    which of two equal operands it returns is fixed up where it matters.
-    On two NaNs it keeps the later one, so windows whose maximum is NaN are
-    set to their first NaN.  On +0.0 against -0.0 the fold keeps the
-    earlier one where np.maximum returns its second operand, as probed at
-    import by _fold_keeps_first_zero; elsewhere windows whose maximum is
-    zero are set to their first zero."""
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2 expects a 4-d input (N,C,H,W), got shape {x.shape}")
-    h, w = x.shape[2:]
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
+    np.maximum gives the right magnitude; which of two equal operands it
+    returns is fixed up where it matters.  On two NaNs it keeps the later
+    one, so windows whose maximum is NaN are set to their first NaN.  On
+    +0.0 against -0.0 the fold keeps the earlier one where np.maximum
+    returns its second operand, as probed at import by
+    _fold_keeps_first_zero; elsewhere windows whose maximum is zero are set
+    to their first zero."""
     q = _quadrants(x)
-    y = _max4(*q)
+    y = _max4(*q, out=out)
     nan = np.isnan(y)
     if nan.any():
         y[nan] = _first_where(q, nan, np.isnan)
@@ -252,6 +319,20 @@ def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
         zero = y == 0
         if zero.any():
             y[zero] = _first_where(q, zero, lambda s: s == 0)
+    return y
+
+
+def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
+    """2x2 non-overlapping max pool: y is bitwise x at each window's first
+    maximal position, the position argmax over the window gives (a NaN
+    counts as maximal), so a leading -0.0 keeps its sign.
+
+    The cache is (x, y), and y is read-only; with_cache=False gives a
+    writeable y and the cache None."""
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2 expects a 4-d input (N,C,H,W), got shape {x.shape}")
+    _check_even("maxpool2", *x.shape[2:])
+    y = _maxpool2(x)
     if not with_cache:
         return y, None
     y.flags.writeable = False  # a later pool may take y as its x (see the module docstring)

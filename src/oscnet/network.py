@@ -1,15 +1,18 @@
 """Model assembly, Adam, the training loop and evaluation.
 
 A model is a list of layers over one flat parameter dict.  Each layer kind
-(Conv2d, Activation, MaxPool2, Flatten, Dense, Dropout) is one class whose
-``forward(x, params, train, rng, with_cache)`` returns ``(y, cache)`` and whose
-``backward(dy, cache, grads)`` returns dx and stores its parameter gradients in
-``grads``.  Both call the kernels in `layers`.
+(ConvBlock, Conv2d, Activation, MaxPool2, Flatten, Dense, Dropout) is one
+class whose ``forward(x, params, train, rng, with_cache)`` returns
+``(y, cache)`` and whose ``backward(dy, cache, grads)`` returns dx and stores
+its parameter gradients in ``grads``.  Both call the kernels in `layers`,
+looked up on the module at call time.
 
-The benchmark architecture family stacks ``conv_layers`` blocks of [3x3
-same-pad Conv2d -> Activation -> 2x2 MaxPool2] with channel widths (32, 64,
-128, 128), then Flatten -> Dense(64) -> Activation -> Dropout(0.5) -> Dense(10)
-logits.  Weights use He-uniform fan-in init, biases start at zero.
+The benchmark architecture family stacks ``conv_layers`` ConvBlocks, each a
+3x3 same-pad conv -> activation -> 2x2 max pool run as one pass per patch
+block, with channel widths (32, 64, 128, 128), then Flatten -> Dense(64) ->
+Activation -> Dropout(0.5) -> Dense(10) logits.  Weights use He-uniform
+fan-in init, biases start at zero.  Conv2d and MaxPool2 are the unfused
+layers a ConvBlock computes bit for bit.
 """
 
 from __future__ import annotations
@@ -87,6 +90,24 @@ class Conv2d:
     def backward(self, dy, cache, grads):
         dx, grads[self.w], grads[self.b] = layers.conv2d_backward(dy, cache, self.need_dx)
         return dx
+
+
+class ConvBlock(Conv2d):
+    """Conv2d -> Activation -> MaxPool2 as one layer.  The forward runs all
+    three one patch block at a time (``layers.conv_block_forward``); the
+    backward runs the three layers' whole-batch backwards in turn."""
+
+    def __init__(self, name: str, id: ActivationId, need_dx: bool = True):
+        super().__init__(name, need_dx)
+        self.id = id
+
+    def forward(self, x, params, train, rng, with_cache):
+        return layers.conv_block_forward(x, params[self.w], params[self.b], self.id, with_cache)
+
+    def backward(self, dy, cache, grads):
+        conv, act, pool = cache
+        d = layers.activation_backward(layers.maxpool2_backward(dy, pool), act)
+        return super().backward(d, conv, grads)
 
 
 class Dense:
@@ -174,9 +195,9 @@ def build_model(cfg: NetworkConfig, input_shape: tuple = cifar.IMAGE_SHAPE,
                 num_classes: int = cifar.NUM_CLASSES, dtype=np.float32) -> Model:
     """Materialize the architecture family for a given depth and activation.
 
-    Parameter names count two slots per block (conv with its activation, then
-    the pool), then Flatten, Dense, Dropout and the logits: for depth d, conv i
-    is ``layer{2i}``, the penultimate Dense ``layer{2d+1}``, the logits
+    Parameter names count two slots per conv block (conv with its activation,
+    then the pool), then Flatten, Dense, Dropout and the logits: for depth d,
+    conv i is ``layer{2i}``, the penultimate Dense ``layer{2d+1}``, the logits
     ``layer{2d+3}``."""
     rng = np.random.default_rng(cfg.seed)
     params: dict = {}
@@ -191,8 +212,8 @@ def build_model(cfg: NetworkConfig, input_shape: tuple = cifar.IMAGE_SHAPE,
     stack: list = []
     for li in range(cfg.conv_layers):
         out = CONV_CHANNELS[li]
-        stack += [affine(Conv2d(f"layer{2 * li}", need_dx=li > 0), (out, c, k, k), c * k * k, out),
-                  Activation(cfg.activation), MaxPool2()]
+        block = ConvBlock(f"layer{2 * li}", cfg.activation, need_dx=li > 0)
+        stack.append(affine(block, (out, c, k, k), c * k * k, out))
         c, h, w = out, h // 2, w // 2
     flat, top, units = c * h * w, 2 * cfg.conv_layers, PENULTIMATE_UNITS
     stack += [Flatten(), affine(Dense(f"layer{top + 1}"), (flat, units), flat, units),

@@ -3,11 +3,12 @@
 import csv
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
 
-from oscnet import xorlab
+from oscnet import _workers, xorlab
 from oscnet.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -195,8 +196,33 @@ class TestBench:
                 "--seed", "7", "--deterministic"]
         run(args + ["--out-dir", tmp_path / "a"])
         run(args + ["--out-dir", tmp_path / "b"])
-        for name in ("records.jsonl", "summary.json", "summary.csv"):
+        for name in ("records.jsonl", "summary.json", "summary.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_manifest_names_the_flags_seed_versions_and_threads(self, synthetic_archive, tmp_path,
+                                                                monkeypatch):
+        for var in _workers.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        out = tmp_path / "bench"
+        assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", out,
+                    "--activations", "relu", "--conv-layers", "1", "--epochs", "1",
+                    "--subset", "50", "--batch", "25", "--seed", "4",
+                    "--deterministic"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest == {
+            "flags": {"data_dir": str(synthetic_archive), "activations": "relu",
+                      "conv_layers": "1", "epochs": 1, "batch": 25, "lr": 1e-4,
+                      "subset": 50, "deterministic": True},
+            "seed": 4,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas_thread_vars": {"OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+                                 "OMP_NUM_THREADS": "1"},
+            "workers": _workers.WORKERS,
+        }
 
     def test_divergence_exits_nonzero_after_writing_the_summary(self, synthetic_archive, tmp_path):
         out = tmp_path / "bench"

@@ -1,16 +1,18 @@
 """Model assembly, layer kernel calls, Adam, training loop, determinism, evaluation."""
 
+import contextlib
 import hashlib
 
 import numpy as np
 import pytest
 
-from oscnet import activations, layers
+from oscnet import _workers, activations, layers
 from oscnet.activations import ActivationId
 from oscnet.errors import ConfigError, DivergenceError, ShapeError
 from oscnet.network import (
     Activation,
     Conv2d,
+    ConvBlock,
     Dense,
     Flatten,
     MaxPool2,
@@ -23,6 +25,8 @@ from oscnet.network import (
     train_epoch,
 )
 from test_layers import (
+    assert_bitwise,
+    other_zero_tie_rule,
     reference_conv2d_backward,
     reference_conv2d_forward,
     reference_maxpool2_layer_backward,
@@ -127,9 +131,9 @@ class TestBuildModel:
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
-KERNELS = ("conv2d_forward", "conv2d_backward", "maxpool2_forward", "maxpool2_backward",
-           "activation_forward", "activation_backward", "dense_forward", "dense_backward",
-           "dropout_forward", "dropout_backward", "softmax_cross_entropy")
+KERNELS = ("conv_block_forward", "conv2d_forward", "conv2d_backward", "maxpool2_forward",
+           "maxpool2_backward", "activation_forward", "activation_backward", "dense_forward",
+           "dense_backward", "dropout_forward", "dropout_backward", "softmax_cross_entropy")
 
 
 class TestKernelCalls:
@@ -146,15 +150,17 @@ class TestKernelCalls:
         return calls
 
     def test_one_training_step_calls_each_kernel_once_per_layer(self, monkeypatch):
+        """A conv block's forward is one kernel; its backward is the
+        backwards of its conv, activation and pool."""
         m = build_model(NetworkConfig(2, A.GCU, seed=0))
         rng = np.random.default_rng(0)
         x = rng.random((3, 3, 32, 32), dtype=np.float32)
         calls = self._count(monkeypatch)
         m.loss_and_grads(x, rng.integers(0, 10, 3), rng=rng)
         assert calls == {
-            "conv2d_forward": 2, "conv2d_backward": 2,
-            "maxpool2_forward": 2, "maxpool2_backward": 2,
-            "activation_forward": 3, "activation_backward": 3,
+            "conv_block_forward": 2, "conv2d_forward": 0, "conv2d_backward": 2,
+            "maxpool2_forward": 0, "maxpool2_backward": 2,
+            "activation_forward": 1, "activation_backward": 3,
             "dense_forward": 2, "dense_backward": 2,
             "dropout_forward": 1, "dropout_backward": 1,
             "softmax_cross_entropy": 1,
@@ -164,17 +170,17 @@ class TestKernelCalls:
         m = build_model(NetworkConfig(2, A.GCU, seed=0))
         x = np.random.default_rng(0).random((3, 3, 32, 32), dtype=np.float32)
         calls = self._count(monkeypatch)
-        pool_with_cache = []
+        block_with_cache = []
 
-        def pool_spy(x, with_cache=True, _counting=layers.maxpool2_forward):
-            pool_with_cache.append(with_cache)
-            return _counting(x, with_cache)
-        monkeypatch.setattr(layers, "maxpool2_forward", pool_spy)
+        def block_spy(x, w, b, id, with_cache=True, _counting=layers.conv_block_forward):
+            block_with_cache.append(with_cache)
+            return _counting(x, w, b, id, with_cache)
+        monkeypatch.setattr(layers, "conv_block_forward", block_spy)
         m.forward(x)
         assert {k: v for k, v in calls.items() if v} == {
-            "conv2d_forward": 2, "maxpool2_forward": 2, "activation_forward": 3,
+            "conv_block_forward": 2, "activation_forward": 1,
             "dense_forward": 2, "dropout_forward": 1}
-        assert pool_with_cache == [False, False]
+        assert block_with_cache == [False, False]
 
 
 def training_digest(act: ActivationId, depth: int) -> str:
@@ -202,12 +208,23 @@ def training_digest(act: ActivationId, depth: int) -> str:
     return h.hexdigest()
 
 
+def reference_conv_block_forward(x, w, b, id, with_cache=True):
+    """The conv, activation and pool forwards that `layers.conv_block_forward`
+    fuses, each looked up on `layers` at call time, with the cache
+    `ConvBlock.backward` takes."""
+    z, conv = layers.conv2d_forward(x, w, b)
+    g, act = layers.activation_forward(z, id, with_cache)
+    y, pool = layers.maxpool2_forward(g, with_cache)
+    return y, ((conv, act, pool) if with_cache else None)
+
+
 class TestBlockedConvOracle:
     @pytest.mark.parametrize("act", [A.RELU, A.GCU])
     def test_two_adam_steps_match_the_single_gemm_reference(self, act, monkeypatch):
         """float64 training with the blocked conv agrees with the whole-batch
         (C, ki, kj) GEMM it replaced: the arithmetic differs only in summation
-        order, so losses and parameters agree far below float32 resolution."""
+        order, so losses and parameters agree far below float32 resolution.
+        The reference runs each conv block as its three unfused forwards."""
         def two_steps():
             rng = np.random.default_rng(8)
             imgs = rng.random((16, 3, 32, 32))
@@ -219,6 +236,7 @@ class TestBlockedConvOracle:
             return losses, m.params
 
         got_losses, got = two_steps()
+        monkeypatch.setattr(layers, "conv_block_forward", reference_conv_block_forward)
         monkeypatch.setattr(layers, "conv2d_forward", reference_conv2d_forward)
         monkeypatch.setattr(layers, "conv2d_backward", reference_conv2d_backward)
         want_losses, want = two_steps()
@@ -286,6 +304,149 @@ class TestPoolAliasing:
         stack = [Conv2d("layer0"), Activation(A.GCU), Conv2d("layer2"), MaxPool2(), Flatten(),
                  Dense("layer5")]
         self._check_against_the_reference_pool(stack, monkeypatch)
+
+
+def assert_same(got, want):
+    """Bitwise equal arrays of the same dtype, shape and memory layout, or
+    tuples of them, or None."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    elif want is None:
+        assert got is None
+    else:
+        assert_bitwise(got, want)
+        assert got.strides == want.strides
+
+
+def conv_block_case(dtype, n=45):
+    """(x, params) for a ConvBlock "layer0" of 8 filters and a Dense
+    "layer5" to 10 logits over (n, 8, 16, 16) images: 45 images make 4
+    patch blocks in float32 and 7 in float64, the last one partial.  Image
+    0 has NaN pixels of both signs, so some conv output windows hold NaNs of
+    both signs; image 2 has huge pixels of both signs, so dsu's conv output
+    windows hold +0.0 and -0.0 and relu's are all zero."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((n, 8, 16, 16)).astype(dtype)
+    if n > 2:
+        x[0, :, 2:6, 2:6] = np.where(rng.random((8, 4, 4)) < 0.5, np.nan, -np.nan)
+        big = 1e30 if dtype == np.float32 else 1e300
+        x[2, :, 4:10, 4:10] = big * rng.choice([-1.0, 1.0], size=(8, 6, 6))
+    params = {
+        "layer0_w": (rng.standard_normal((8, 8, 3, 3)) / 6).astype(dtype),
+        "layer0_b": rng.standard_normal(8).astype(dtype),
+        "layer5_w": (rng.standard_normal((8 * 8 * 8, 10)) / 20).astype(dtype),
+        "layer5_b": np.zeros(10, dtype=dtype),
+    }
+    per_image = 16 * 16 * 9 * 8 * np.dtype(dtype).itemsize
+    assert layers.BLOCK_BYTES // per_image == (14 if dtype == np.float32 else 7)
+    return x, params
+
+
+def unfused(id):
+    return [Conv2d("layer0"), Activation(id), MaxPool2()]
+
+
+def run_stack(stack, x, params, with_cache):
+    """The stack's output and its layers' caches; the input is read-only,
+    as Model.forward hands it on."""
+    x = x.view()
+    x.flags.writeable = False
+    caches = []
+    for layer in stack:
+        x, cache = layer.forward(x, params, with_cache, None, with_cache)
+        caches.append(cache)
+    return x, caches
+
+
+def copied(a):
+    """A copy of an array, keeping its memory layout, or of a tuple of them."""
+    return tuple(map(copied, a)) if isinstance(a, tuple) else a.copy(order="K")
+
+
+def train_stack(stack, x, params, dy):
+    """Copies of the stack's training output and caches (the one cache of a
+    ConvBlock, a tuple of three for the unfused stack), then dx and the
+    parameter gradients of its backward from dy."""
+    y, caches = run_stack(stack, x, params, True)
+    assert not y.flags.writeable
+    grads = {"forward": copied((y, caches[0] if len(caches) == 1 else tuple(caches)))}
+    for layer, cache in zip(reversed(stack), reversed(caches)):
+        dy = layer.backward(dy, cache, grads)
+    grads["dx"] = dy
+    return grads
+
+
+class TestConvBlock:
+    """ConvBlock is bitwise the stack [Conv2d, Activation, MaxPool2] it
+    fuses: output, caches, input and parameter gradients, loss."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", [A.RELU, A.SQU, A.GCU, A.DSU])
+    def test_matches_the_unfused_stack(self, monkeypatch, act, dtype, workers):
+        monkeypatch.setattr(_workers, "WORKERS", workers)
+        x, params = conv_block_case(dtype)
+        rng = np.random.default_rng(22)
+        dy = rng.standard_normal((x.shape[0], 8, 8, 8)).astype(dtype)
+        for tie_rule in ("probed", "other"):
+            with np.errstate(all="ignore"), (other_zero_tie_rule() if tie_rule == "other"
+                                             else contextlib.nullcontext()):
+                (y, [cache]), (want_y, _) = (run_stack(stack, x, params, False) for stack in
+                                             ([ConvBlock("layer0", act)], unfused(act)))
+                assert cache is None and y.flags.writeable
+                assert_same(y, want_y)
+                got, want = (train_stack(stack, x, params, dy) for stack in
+                             ([ConvBlock("layer0", act)], unfused(act)))
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert_same(got[name], want[name])
+        windows = want["forward"][1][2][0].reshape(x.shape[0], 8, 8, 2, 8, 2)  # the pool's input
+        neg = np.signbit(windows)
+
+        def both_signs(hit):
+            return ((hit & neg).any(axis=(3, 5)) & (hit & ~neg).any(axis=(3, 5))).any()
+        assert both_signs(np.isnan(windows))
+        assert both_signs(windows == 0) == (act == A.DSU)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", [A.RELU, A.SQU, A.GCU, A.DSU])
+    def test_loss_and_every_gradient_match_the_unfused_model(self, monkeypatch, act, dtype):
+        monkeypatch.setattr(_workers, "WORKERS", 2)
+        x, params = conv_block_case(dtype)
+        x = x[3:]  # finite images, so the loss and gradients are too
+        labels = np.random.default_rng(23).integers(0, 10, x.shape[0])
+        tail = [Flatten(), Dense("layer5")]
+        loss, grads = Model([ConvBlock("layer0", act), *tail], params).loss_and_grads(x, labels)
+        want_loss, want = Model([*unfused(act), *tail], params).loss_and_grads(x, labels)
+        assert np.isfinite(loss) and loss == want_loss
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert_same(grads[name], want[name])
+            assert np.isfinite(want[name]).all() and np.abs(want[name]).max() > 0, name
+
+    @pytest.mark.parametrize("shape", [(2, 8, 7, 8), (2, 8, 8, 5)])
+    def test_odd_spatial_dims_raise_before_any_work(self, monkeypatch, shape):
+        def forbidden(*args):
+            raise AssertionError("a patch block ran")
+        monkeypatch.setattr(layers, "_block_runs", forbidden)
+        _, params = conv_block_case(np.float32, n=1)
+        x = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(ShapeError, match="even"):
+            layers.conv_block_forward(x, params["layer0_w"], params["layer0_b"], A.RELU)
+
+    def test_an_empty_batch(self):
+        _, params = conv_block_case(np.float32, n=1)
+        x = np.zeros((0, 8, 16, 16), dtype=np.float32)
+        y, _ = run_stack([ConvBlock("layer0", A.GCU)], x, params, False)
+        assert_same(y, run_stack(unfused(A.GCU), x, params, False)[0])
+        dy = np.zeros((0, 8, 8, 8), dtype=np.float32)
+        got, want = (train_stack(stack, x, params, dy) for stack in
+                     ([ConvBlock("layer0", A.GCU)], unfused(A.GCU)))
+        for name in want:
+            assert_same(got[name], want[name])
+        assert got["dx"].shape == x.shape and not got["layer0_w"].any()
 
 
 @pytest.mark.skipif(np.__version__ != "2.4.6",

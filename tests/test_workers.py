@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from oscnet import _workers, activations, layers
 from oscnet.activations import ActivationId as A
 from oscnet.cli import EXIT_OK, main
+from oscnet.network import NetworkConfig, build_model
 from test_layers import nhwc
 from test_network import training_digest
 
@@ -178,6 +180,43 @@ class TestTraining:
             monkeypatch.setattr(_workers, "WORKERS", count)
             digests.append(training_digest(act, depth))
         assert digests[1:] == digests[:1] * 2
+
+
+def test_public_functions_run_only_on_the_calling_thread(monkeypatch, fresh_pool):
+    """Workers call only private helpers and numpy (see _workers), so a
+    tracer that wraps the public functions by module attribute keeps its
+    span stack on one thread.  Every public function of layers and
+    activations is wrapped so; through a training step and an eval pass at
+    2 workers each is entered only on the calling thread, while the conv
+    blocks do run on two threads."""
+    monkeypatch.setattr(_workers, "WORKERS", 2)
+    entered = {}
+    for module in (layers, activations):
+        for name, fn in list(vars(module).items()):
+            if (name.startswith("_") or not isinstance(fn, types.FunctionType)
+                    or not fn.__module__.startswith("oscnet.")):
+                continue
+
+            def wrapper(*args, _name=f"{module.__name__}.{name}", _fn=fn, **kwargs):
+                entered.setdefault(_name, set()).add(threading.get_ident())
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+    block_threads = set()
+
+    def conv_block(*args, _real=layers._conv_block):
+        block_threads.add(threading.get_ident())
+        return _real(*args)
+    monkeypatch.setattr(layers, "_conv_block", conv_block)
+    m = build_model(NetworkConfig(2, A.GCU, seed=0))
+    rng = np.random.default_rng(16)
+    x = rng.random((64, 3, 32, 32), dtype=np.float32)
+    m.loss_and_grads(x, rng.integers(0, 10, 64), rng=rng)
+    m.forward(x)
+    assert len(block_threads) == 2
+    assert {"oscnet.layers.conv_block_forward", "oscnet.layers.conv2d_backward",
+            "oscnet.layers.maxpool2_backward", "oscnet.layers.activation_backward",
+            "oscnet.layers.activation_forward"} <= entered.keys()
+    assert all(threads == {threading.get_ident()} for threads in entered.values()), entered
 
 
 class TestErrorState:
