@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -154,7 +153,7 @@ def _bench_manifest(args, data_dir: str) -> dict:
     return {
         "flags": {**flags, "data_dir": str(data_dir)},
         "seed": args.seed,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_thread_vars": {var: os.environ.get(var) for var in _workers.BLAS_THREAD_VARS},
