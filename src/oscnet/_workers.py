@@ -6,7 +6,8 @@ run order.  The calling thread is worker 0 and runs the first run; a pool of
 WORKERS - 1 threads, started on the first call that needs it, runs the rest.
 A forked child starts its own pool.  Each unit must write only its own part
 of the output, so the result is the same at any worker count; the loops in
-``layers`` and ``activations`` that use this keep the order of every sum.
+``layers``, the only module that uses this, keep the order of every sum.
+The catalog path (activations, properties, xorlab) never calls ``runs``.
 
 WORKERS is the cores this process may run on divided by the threads each
 BLAS call uses, at least 1, so the workers' GEMMs do not oversubscribe the

@@ -13,30 +13,9 @@ Range endpoints and small-value slopes that are attained at interior optima are
 stored at full float64 precision with their defining equations noted inline; the
 numerical-scan module re-verifies all of them against dense grids.
 
-Large inputs are evaluated in chunks.  A kernel makes several temporaries the
-size of its input, which for a CNN activation are megabytes each, streamed
-through DRAM and often freshly mapped.  So an input of more than CHUNK_BYTES
-runs through its kernel one 1-d slice of CHUNK_BYTES at a time: the outputs
-are allocated once with ``np.empty_like(z)``, so an NCHW view of NHWC memory
-stays NHWC, z is read in their memory order, and each slice's g and g' are
-copied into them.  Every temporary is then chunk-sized and stays in L2.  The
-chunks are cut into contiguous runs, one per worker (see _workers for the
-worker count).  Each run writes only its own slices of g and g', under the
-caller's numpy error state, and holds a few chunks of temporaries at a time,
-so the peak is the outputs plus a few chunks per worker.  Each kernel is
-elementwise, so at any worker count the results are bitwise equal to one
-pass over the whole input, with the same shape, dtype and memory layout.
-Inputs of at most CHUNK_BYTES (0-d ``evaluate``/``derivative`` calls, the
-XOR trainer's four points) and broadcast inputs (a zero stride) take that
-one pass.  The chunk loop, _chunks, also runs a CNN conv block's activation
-(``layers.conv_block_forward``) over each patch block's conv output, in
-slices of CHUNK_BYTES from the block's start; where the slices fall changes
-no result, since every kernel is elementwise.
-CHUNK_BYTES = 256 KiB comes from a sweep of ``apply_with_grad`` on a
-(64,32,32,32) float32 NHWC view on a 2-core x86-64 box (numpy 2.4.6).  In ms
-per call at 64/128/256/512/1024 KiB: DSU 11.2/10.2/10.3/10.5/12.3, SSU
-7.4/6.7/6.3/6.6/7.3, GELU 9.1/9.1/7.7/8.5/11.5; one pass over the whole input
-took 27.4, 19.0 and 20.1.
+Every input runs through its kernel in one pass; a CNN conv block runs its
+activation in slices of CHUNK_BYTES inside its own patch-block loop
+(``layers.conv_block_forward``).
 """
 
 from __future__ import annotations
@@ -48,13 +27,21 @@ from enum import Enum
 
 import numpy as np
 
-from . import _workers
 from .errors import DomainError, KinkError
 
 COUNTABLY_INFINITE = math.inf
 
-# Inputs larger than this are evaluated one 1-d slice of this many bytes at a
-# time, so every kernel temporary stays in L2 (see the module docstring).
+# A CNN conv block runs its activation over each patch block's conv output
+# in 1-d slices of this many bytes (layers.conv_block_forward), so every
+# kernel temporary stays in L2; maxpool2_backward and the continuity scan
+# size their blocks by it too.  256 KiB comes from a sweep of the two conv
+# blocks of a depth-2 float32 CNN (3->32 channels at 32x32, 32->64 at
+# 16x16) on a 2-core x86-64 box, two workers at one BLAS thread, numpy
+# 2.4.6.  Median ms per call at 64/128/256/512/1024 KiB, batch-64 training:
+# DSU 44/37/32/32/31, SSU 29/26/24/23/24, GELU 37/30/27/27/28; batch-256
+# eval: DSU 94/80/77/71/78, SSU 76/69/60/60/70, GELU 93/81/75/75/88.  From
+# 256 to 1024 KiB training ties within a second sweep's spread; eval loses
+# at 1024 KiB.
 CHUNK_BYTES = 1 << 18
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -502,41 +489,14 @@ def _kernel(id: ActivationId) -> Callable:
     return _CATALOG[id].kernel
 
 
-def _chunks(kernel, src: np.ndarray, dsts, start: int, stop: int) -> None:
-    """Run ``kernel`` over the 1-d ``src[start:stop]`` in slices of CHUNK_BYTES
-    and copy each slice's first ``len(dsts)`` results (g, then g') into the
-    same slice of each 1-d array of ``dsts``.  With one destination it may be
-    src itself: the kernel is not resumed after yielding g."""
-    step = CHUNK_BYTES // src.itemsize
-    for i in range(start, stop, step):
-        j = min(i + step, stop)
-        run = kernel(src[i:j])
-        for dst in dsts:
-            dst[i:j] = next(run)
-
-
 def _run(id: ActivationId, z, n: int) -> tuple:
-    """The first ``n`` results of the kernel of ``id`` over ``z``: (g,) or (g, g').
-
-    Non-float input runs in float64.  An input of at most CHUNK_BYTES, or one
-    with a broadcast (zero-stride) axis, runs through the kernel in one pass.
-    A larger one runs in 1-d slices of CHUNK_BYTES, in the memory order of
-    outputs allocated once with ``np.empty_like(z)``.
-    """
-    kernel = _kernel(id)
+    """The first ``n`` results of the kernel of ``id`` over ``z``: (g,) or
+    (g, g'), from one pass.  Non-float input runs in float64."""
     z = np.asarray(z)
     if z.dtype.kind != "f":
         z = z.astype(np.float64)
-    if z.nbytes <= CHUNK_BYTES or any(k > 1 and not s for k, s in zip(z.shape, z.strides)):
-        run = kernel(z)
-        return (next(run),) if n == 1 else (next(run), next(run))
-    outs = tuple(np.empty_like(z) for _ in range(n))
-    src = z.ravel(order="K")  # a view unless z's memory is not one run
-    dsts = [out.ravel(order="K") for out in outs]  # always views
-    step = CHUNK_BYTES // z.itemsize
-    _workers.runs(-(-z.size // step), lambda start, stop: _chunks(
-        kernel, src, dsts, start * step, min(stop * step, z.size)))
-    return outs
+    run = _kernel(id)(z)
+    return (next(run),) if n == 1 else (next(run), next(run))
 
 
 def apply(id: ActivationId, z: np.ndarray) -> np.ndarray:

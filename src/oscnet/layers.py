@@ -28,9 +28,10 @@ maxpool2_forward in one pass over the conv's patch blocks: each block's conv
 output stays in a scratch buffer of its run while the activation kernel runs
 over it in CHUNK_BYTES slices and the pool reads the result, so no
 whole-batch conv output is made and the pool runs on every worker.  It
-shares each block's code with those kernels (_conv_block, the activation
-chunk loop, _maxpool2), and its cache is the three kernels' caches, so its
-backward is their three backwards.
+shares each block's code with those kernels (_conv_block, _maxpool2), and
+its cache is the three kernels' caches, so its backward is their three
+backwards.  Its slice loop, _chunks, is the only place an activation runs
+in pieces; activations.apply runs every input in one pass.
 
 The pool backward writes dx into the x it cached whenever x is writeable and
 of dy's dtype, so anything that must outlive the backward reaches a pool
@@ -64,7 +65,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _workers
-from .activations import CHUNK_BYTES, ActivationId, _chunks, _kernel, apply, apply_with_grad
+from .activations import CHUNK_BYTES, ActivationId, _kernel, apply, apply_with_grad
 from .activations import apply_grad  # noqa: F401  perfbench/spans.py hooks layers.apply_grad by name
 from .errors import LabelError, ShapeError
 
@@ -169,6 +170,19 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return y.transpose(0, 3, 1, 2), (x, w)
 
 
+def _chunks(kernel, src: np.ndarray, dsts) -> None:
+    """Run ``kernel`` over the 1-d ``src`` in slices of CHUNK_BYTES and copy
+    each slice's first ``len(dsts)`` results (g, then g') into the same
+    slice of each 1-d array of ``dsts``.  With one destination it may be src
+    itself: the kernel is not resumed after yielding g.  Every kernel is
+    elementwise, so where the slices fall changes no result."""
+    step = CHUNK_BYTES // src.itemsize
+    for i in range(0, src.size, step):
+        run = kernel(src[i:i + step])
+        for dst in dsts:
+            dst[i:i + step] = next(run)
+
+
 def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: ActivationId,
                        with_cache: bool = True):
     """maxpool2(activation(conv2d(x, w, b), id)) in one pass per patch block.
@@ -212,10 +226,10 @@ def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: Activati
             src = _conv_block(col, wmat_t, b, z[:rows]).reshape(-1)
             if with_cache:
                 act = g[blk]
-                _chunks(kernel, src, (act.reshape(-1), grad[blk].reshape(-1)), 0, src.size)
+                _chunks(kernel, src, (act.reshape(-1), grad[blk].reshape(-1)))
             else:
                 act = src.reshape(-1, h, wd, k)
-                _chunks(kernel, src, (src,), 0, src.size)
+                _chunks(kernel, src, (src,))
             _maxpool2(act.transpose(0, 3, 1, 2), y[blk])
 
     _block_runs(x, dtype, run)

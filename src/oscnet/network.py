@@ -17,6 +17,7 @@ layers a ConvBlock computes bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,9 +239,15 @@ def train_epoch(model: Model, images: np.ndarray, labels: np.ndarray,
                 batch: int = 64) -> float:
     """One pass over the data: seeded shuffle, batched Adam updates.
 
-    Returns the sample-weighted mean training loss.  Raises DivergenceError
+    Returns the sample-weighted mean training loss.  Raises ConfigError,
+    before any work, unless ``batch`` is an int >= 1 and ``lr`` is finite and
+    >= 0 (0 runs the steps without moving a parameter), and DivergenceError
     naming the batch index if any batch loss goes non-finite.
     """
+    if not isinstance(batch, (int, np.integer)) or batch < 1:
+        raise ConfigError(f"batch must be an integer >= 1, got {batch!r}")
+    if not 0 <= lr < math.inf:
+        raise ConfigError(f"lr must be finite and >= 0, got {lr!r}")
     n = _dataset_size(images, labels, "train_epoch")
     order = rng.permutation(n)
     total = 0.0

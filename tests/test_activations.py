@@ -1,6 +1,5 @@
 """Catalog correctness: formulas, derivatives, metadata, numerical safety."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oscnet import _workers, activations
+from oscnet import activations, layers
 from oscnet.activations import (
     COUNTABLY_INFINITE,
     ActivationId,
@@ -210,8 +209,10 @@ class TestArrayScalarConsistency:
     def test_kernel_memory_stays_bounded(self, id):
         """Peak memory of apply on a 2^20-element float64 input, output included.
 
-        The XOR grid search applies every unit to ~1M points, so a kernel that
-        holds extra temporaries shows up in the process's peak memory."""
+        apply runs every input, however large, through its kernel in one
+        pass, so each temporary a kernel holds is input-sized and adds to
+        the peak of every large call (the property scans' grids, and the XOR
+        grid search, which is only a test oracle now)."""
         z = np.linspace(-15.0, 15.0, 2 ** 20)
         tracemalloc.start()
         try:
@@ -258,75 +259,34 @@ def _layout(a):
     return tuple(s for s, n in zip(a.strides, a.shape) if n > 1)
 
 
-def _all_entry_points(id, z, chunk_bytes):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(activations, "CHUNK_BYTES", chunk_bytes)
-        return (apply(id, z), apply_grad(id, z), *apply_with_grad(id, z))
-
-
 class TestChunkedEvaluation:
     @pytest.mark.parametrize("id", all_ids())
     @given(z=_laid_out_inputs(), items=st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
     def test_chunked_equals_single_pass(self, id, z, items):
-        """Chunks of a few elements, so chunk edges and a remainder fall
-        mid-array: values bitwise equal, shape, dtype and memory layout kept."""
-        itemsize = 8 if z.dtype.kind != "f" else z.itemsize
-        chunked = _all_entry_points(id, z, items * itemsize)
-        whole = _all_entry_points(id, z, 1 << 62)
-        for got, want in zip(chunked, whole):
-            got, want = np.asarray(got), np.asarray(want)
+        """apply, apply_grad and apply_with_grad run z in one pass and keep
+        its shape, its dtype (float64 for integer input) and, unless z is
+        broadcast, its memory layout (an NHWC view stays NHWC);
+        apply_with_grad is bitwise (apply,
+        apply_grad).  The conv block's slice loop, layers._chunks, in slices
+        of a few elements, so slice edges and a remainder fall mid-array,
+        gives the same bits, into two outputs and in place."""
+        g, dg = apply(id, z), apply_grad(id, z)
+        pair = apply_with_grad(id, z)
+        dtype = z.dtype if z.dtype.kind == "f" else np.dtype(np.float64)
+        for got, want in zip(pair, (g, dg)):
             np.testing.assert_array_equal(got, want, strict=True)
-            assert got.tobytes() == want.tobytes()
-            assert _layout(got) == _layout(want)
-
-    def test_large_inputs_run_in_one_d_chunks(self, monkeypatch):
-        monkeypatch.setattr(_workers, "WORKERS", 1)  # one thread records the chunks in order
-        seen = []
-        entry = activations._CATALOG[A.GCU]
-
-        def recording(z):
-            seen.append(z.shape)
-            return entry.kernel(z)
-
-        monkeypatch.setitem(activations._CATALOG, A.GCU,
-                            dataclasses.replace(entry, kernel=recording))
-        monkeypatch.setattr(activations, "CHUNK_BYTES", 3 * 8)
-        z = np.linspace(-4.0, 4.0, 10).reshape(2, 5)
-        np.testing.assert_array_equal(apply(A.GCU, z), z * np.cos(z))
-        assert seen == [(3,), (3,), (3,), (1,)]
-        seen.clear()
-        apply(A.GCU, z[:1, :3])  # 3 elements: at most CHUNK_BYTES, one pass
-        assert seen == [(1, 3)]
-
-    @staticmethod
-    def _chunks_over_the_outputs(id) -> float:
-        """Peak bytes of apply_with_grad on a (64,32,32,32) float32 NHWC
-        view, less its two outputs, in chunks."""
-        rng = np.random.default_rng(0)
-        z = (3 * rng.standard_normal((64, 32, 32, 32), dtype=np.float32)).transpose(0, 3, 1, 2)
-        tracemalloc.start()
-        try:
-            g, dg = apply_with_grad(id, z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.strides == dg.strides == z.strides  # NHWC stays NHWC
-        return (peak - 2 * z.nbytes) / activations.CHUNK_BYTES
-
-    @pytest.mark.parametrize("id", [A.DSU, A.SSU, A.GELU])
-    def test_chunked_memory_is_outputs_plus_a_few_chunks(self, id, monkeypatch):
-        """On one worker the peak is the two outputs and chunk-sized
-        temporaries, not full-size ones: DSU, the hungriest kernel, peaks at
-        about 8 chunks over its outputs."""
-        monkeypatch.setattr(_workers, "WORKERS", 1)
-        chunks = self._chunks_over_the_outputs(id)
-        assert chunks <= 10, f"{id}: peak is the outputs plus {chunks:.1f} chunks"
-
-    @pytest.mark.parametrize("id", [A.DSU, A.SSU, A.GELU])
-    def test_chunked_memory_is_a_few_chunks_per_worker(self, id):
-        """At the default worker count each worker holds its own chunks'
-        temporaries, and no more."""
-        chunks = self._chunks_over_the_outputs(id)
-        assert chunks <= 10 * _workers.WORKERS, \
-            f"{id}: peak is the outputs plus {chunks:.1f} chunks on {_workers.WORKERS} workers"
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for out in map(np.asarray, (g, dg, *pair)):
+            assert out.shape == z.shape and out.dtype == dtype
+            if all(_layout(z)):  # a zero stride leaves the layout to the ufunc
+                assert _layout(out) == _layout(np.empty_like(z, dtype=dtype))
+        src = np.ascontiguousarray(z, dtype=dtype).reshape(-1)
+        outs = (np.empty_like(src), np.empty_like(src), src.copy())
+        kernel = activations._kernel(id)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layers, "CHUNK_BYTES", items * src.itemsize)
+            layers._chunks(kernel, src, outs[:2])
+            layers._chunks(kernel, outs[2], outs[2:])
+        for got, want in zip(outs, (g, dg, g)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()

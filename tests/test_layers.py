@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oscnet import layers
-from oscnet.activations import ActivationId, apply, apply_grad
+from oscnet import _workers, layers
+from oscnet.activations import CHUNK_BYTES, ActivationId, apply, apply_grad
 from oscnet.errors import LabelError, ShapeError
 
 A = ActivationId
@@ -565,6 +565,39 @@ class TestActivationLayer:
         y, cache = layers.activation_forward(z, A.DSU, with_cache=False)
         np.testing.assert_array_equal(y, apply(A.DSU, z))
         assert cache is None
+
+
+class TestConvBlockForward:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("id", [A.RELU, A.SSU, A.GELU, A.DSU])
+    def test_peak_is_the_outputs_and_a_few_blocks_per_worker(self, monkeypatch, id, workers):
+        """(64,32,32,32) float32 NHWC -> 32 channels, in training and eval:
+        above its outputs (y, and g and g' in training) the peak is at most
+        2 * BLOCK_BYTES + 4 * CHUNK_BYTES, 3 MiB, per worker.  A worker
+        holds a patch block, here one image's 1.125 MiB of patches, its
+        padded copy and the block's 128 KiB conv output, 1.4 MiB in all,
+        and the kernel's temporaries for that conv output, which is one
+        slice: DSU, the hungriest kernel, holds about seven.  These units
+        peaked at 1.6 to 2.3 MiB per worker at one and two workers (2-core
+        x86-64, numpy 2.4.6), so the margin is five more slice-sized
+        temporaries per worker.  A whole-batch conv output or kernel
+        temporary, 8 MiB, breaks the bound."""
+        monkeypatch.setattr(_workers, "WORKERS", workers)
+        rng = np.random.default_rng(8)
+        x = nhwc(rng.standard_normal((64, 32, 32, 32)).astype(np.float32))
+        w = (rng.standard_normal((32, 32, 3, 3)) / 17).astype(np.float32)
+        b = rng.standard_normal(32).astype(np.float32)
+        bound = workers * (2 * layers.BLOCK_BYTES + 4 * CHUNK_BYTES)
+        for with_cache in (True, False):
+            tracemalloc.start()
+            try:
+                y, cache = layers.conv_block_forward(x, w, b, id, with_cache)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs = y.nbytes + (0 if cache is None else cache[1].nbytes + cache[2][0].nbytes)
+            assert peak - outputs <= bound, \
+                f"{id}, cache {with_cache}: {(peak - outputs) / 2**20:.2f} MiB over the outputs"
 
 
 class TestDropout:

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -382,11 +383,17 @@ class TestConvBlock:
     """ConvBlock is bitwise the stack [Conv2d, Activation, MaxPool2] it
     fuses: output, caches, input and parameter gradients, loss."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    # A chunk of 40 bytes is 10 float32 or 5 float64 elements, which divide
+    # no patch block's conv output, so slice edges fall mid-block.
+    @pytest.mark.parametrize("workers, chunk_bytes", [
+        (1, None), (2, None), (3, None), (1, 40), (2, 40),
+    ], ids=["1", "2", "3", "1-chunk40", "2-chunk40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("act", [A.RELU, A.SQU, A.GCU, A.DSU])
-    def test_matches_the_unfused_stack(self, monkeypatch, act, dtype, workers):
+    def test_matches_the_unfused_stack(self, monkeypatch, act, dtype, workers, chunk_bytes):
         monkeypatch.setattr(_workers, "WORKERS", workers)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(layers, "CHUNK_BYTES", chunk_bytes)
         x, params = conv_block_case(dtype)
         rng = np.random.default_rng(22)
         dy = rng.standard_normal((x.shape[0], 8, 8, 8)).astype(dtype)
@@ -593,6 +600,26 @@ class TestTrainEpoch:
         monkeypatch.setattr(Model, "loss_and_grads", forbidden)
         with pytest.raises(ShapeError, match=r"9 labels for 10 images"):
             train_epoch(m, imgs, labs[:9], adam_init(m.params), 1e-3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("batch, lr, names", [
+        (-1, 1e-3, "batch"), (0, 1e-3, "batch"), (8.0, 1e-3, "batch"),
+        (8, math.nan, "lr"), (8, -1e-3, "lr"), (8, math.inf, "lr"),
+    ], ids=["batch=-1", "batch=0", "batch=8.0", "lr=nan", "lr=-0.001", "lr=inf"])
+    def test_bad_batch_or_lr_rejected_before_any_work(self, monkeypatch, batch, lr, names):
+        """No step runs and the generator is not drawn from: batch=-1 used
+        to return loss 0.0, batch=0 raised range()'s bare ValueError, and
+        lr=nan poisoned the parameters before raising DivergenceError."""
+        imgs, labs = self._data(n=10)
+        m = tiny_dense_model()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a step ran")
+        monkeypatch.setattr(Model, "loss_and_grads", forbidden)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=f"^{names} "):
+            train_epoch(m, imgs, labs, adam_init(m.params), lr, rng, batch=batch)
+        assert rng.bit_generator.state == state
 
     def test_loss_nonincreasing_on_fixed_subset(self):
         """Five epochs on 64 fixed samples: mean loss trends down for both a

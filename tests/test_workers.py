@@ -158,17 +158,42 @@ def test_concurrent_callers_on_more_workers_than_cores(monkeypatch, fresh_pool):
     assert len(got) == 20 and all(g == want for g in got)
 
 
+def conv_block_case(dtype):
+    """(x, w, b) for a conv block of 7 images of (32,16,16) -> 8 channels:
+    3 patch blocks in float32 (3, 3 and 1 images), 7 in float64, so 2 and 3
+    workers get runs of unequal length."""
+    rng = np.random.default_rng(12)
+    x = nhwc(rng.standard_normal((7, 32, 16, 16)).astype(dtype))
+    w = (4 * rng.standard_normal((8, 32, 3, 3)) / 17).astype(dtype)
+    b = rng.standard_normal(8).astype(dtype)
+    per_image = 16 * 16 * 9 * 32 * np.dtype(dtype).itemsize
+    assert layers.BLOCK_BYTES // per_image == (3 if dtype == np.float32 else 1)
+    return x, w, b
+
+
 class TestActivations:
     @pytest.mark.parametrize("chunks", [1.5, 9.5])
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("id", [A.RELU, A.SQU, A.GCU, A.SSU, A.DSU, A.GELU])
     def test_g_and_its_derivative(self, monkeypatch, id, dtype, chunks):
-        """9.5 chunks split into runs; 1.5 chunks (2) run inline at 2 and 3
-        workers."""
-        size = int(chunks * activations.CHUNK_BYTES / np.dtype(dtype).itemsize)
-        z = (4 * np.random.default_rng(12).standard_normal(size)).astype(dtype)
-        assert_same_at_every_count(
-            monkeypatch, lambda: (activations.apply(id, z), *activations.apply_with_grad(id, z)))
+        """A conv block's g and g' (its cache) and pooled outputs, in
+        training and eval, with CHUNK_BYTES set so that a full patch block's
+        conv output is ``chunks`` slices: one slice and a half, or nine and
+        a half, so a partial slice ends each block.  They are the same at
+        every worker count, and g and g' are the one-pass apply_with_grad of
+        the conv output."""
+        x, w, b = conv_block_case(dtype)
+        per_block = (3 if dtype == np.float32 else 1) * 16 * 16 * 8
+        monkeypatch.setattr(layers, "CHUNK_BYTES", int(per_block / chunks) * np.dtype(dtype).itemsize)
+
+        def compute():
+            y, (_, grad, (g, _)) = layers.conv_block_forward(x, w, b, id)
+            return y, g, grad, layers.conv_block_forward(x, w, b, id, with_cache=False)[0]
+
+        assert_same_at_every_count(monkeypatch, compute)
+        _, g, grad, _ = compute()
+        want = activations.apply_with_grad(id, layers.conv2d_forward(x, w, b)[0])
+        assert [g.tobytes(), grad.tobytes()] == [a.tobytes() for a in want]
 
 
 class TestTraining:
@@ -223,25 +248,30 @@ class TestErrorState:
     """Runs on pool threads compute under the caller's np.errstate."""
 
     @staticmethod
-    def _overflowing(dtype=np.float32):
-        z = np.ones(int(9.5 * activations.CHUNK_BYTES / np.dtype(dtype).itemsize), dtype=dtype)
-        z[-1000:] = 1e30  # squ overflows in the last run only, on a pool thread
-        return z
+    def _overflowing():
+        """The float32 conv block case with huge pixels in its last image
+        only, so squ overflows in the last of its 3 patch blocks only, which
+        the second of 2 workers runs on a pool thread."""
+        x, w, b = conv_block_case(np.float32)
+        x[-1] = 1e30
+        return x, w, b
 
     def test_ignored_overflow_warns_nothing(self, monkeypatch):
         monkeypatch.setattr(_workers, "WORKERS", 2)
-        z = self._overflowing()
+        x, w, b = self._overflowing()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
-                g, _ = layers.activation_forward(z, A.SQU)
-        assert np.isinf(g[-1])
+                y, _ = layers.conv_block_forward(x, w, b, A.SQU)
+        assert np.isinf(y[-1]).all() and np.isfinite(y[:-1]).all()
 
     def test_a_raising_error_state_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(_workers, "WORKERS", 2)
-        z = self._overflowing()
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            layers.activation_forward(z, A.SQU)
+        x, w, b = self._overflowing()
+        with np.errstate(all="raise"):
+            layers.conv_block_forward(x[:-1], w, b, A.SQU)  # the first 6 images raise nothing
+            with pytest.raises(FloatingPointError):
+                layers.conv_block_forward(x, w, b, A.SQU)
 
 
 class TestCatalogPathStartsNoThread:
