@@ -39,9 +39,9 @@ COUNTABLY_INFINITE = math.inf
 # 16x16) on a 2-core x86-64 box, two workers at one BLAS thread, numpy
 # 2.4.6.  Median ms per call at 64/128/256/512/1024 KiB, batch-64 training:
 # DSU 44/37/32/32/31, SSU 29/26/24/23/24, GELU 37/30/27/27/28; batch-256
-# eval: DSU 94/80/77/71/78, SSU 76/69/60/60/70, GELU 93/81/75/75/88.  From
-# 256 to 1024 KiB training ties within a second sweep's spread; eval loses
-# at 1024 KiB.
+# eval: DSU 94/80/77/71/78, SSU 76/69/60/60/70, GELU 93/81/75/75/88.  A
+# second sweep agreed: 64 and 128 KiB lose in both modes, 1024 KiB loses in
+# eval, and 256 and 512 KiB tie within the spread between the two sweeps.
 CHUNK_BYTES = 1 << 18
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
