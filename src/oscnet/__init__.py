@@ -27,12 +27,9 @@ from .xorlab import (
     SingleNeuron,
     TrainSpec,
     XorCertificate,
-    XorDataset,
     decision_boundary_grid,
-    grid_search_certificate,
     neuron_forward,
     train_single_neuron,
-    xor_dataset,
     xor_witness,
 )
 from .network import (

@@ -98,6 +98,8 @@ def _load_files(d: Path, names) -> ImageDataset:
         if not f.is_file():
             raise DataFormatError(f"missing dataset file {f}")
         img, lab = decode_records(f.read_bytes(), str(f))
+        if not lab.size:
+            raise DataFormatError(f"dataset file {f} holds no records")
         images.append(img)
         labels.append(lab)
     return ImageDataset(np.concatenate(images), np.concatenate(labels))

@@ -11,17 +11,18 @@ w.transpose(0, 2, 3, 1).reshape(K, 9C).  The forward caches its input
 itself, not a padded copy or the patch matrix, so a conv input must not be
 written before the conv's backward; no layer of a model writes one.  The
 backward rebuilds each block's columns for dW, and computes dx as the same
-blocked conv of dy with w flipped in space and its channel axes swapped.  It
-calls the private _conv for that, not conv2d_forward, so a tracer that wraps
-the public kernels sees one forward per conv layer.  Every backward
-returns gradients in the same shapes as its forward inputs; cached
-activations are whatever the backward needs, nothing more.  An activation
-layer caches g'(x), computed in the same kernel pass as g(x), so its backward
-is a single product, written into that cache.  The 2x2 max pool builds no
+blocked conv of dy with w flipped in space and its channel axes swapped,
+through the private _conv, which takes no bias.  Every backward returns
+gradients in the same shapes as its forward inputs; cached activations are
+whatever the backward needs, nothing more.  An activation layer caches
+g'(x), computed in the same kernel pass as g(x), so its backward is a
+single product, written into that cache.  The 2x2 max pool builds no
 argmax index: its forward is three np.maximum calls folded from the last
 window position, and its training cache is (x, y), its input and its
-read-only output.  Its backward finds each window's first maximal position
-from them.  A backward consumes its cache: call it once per forward.
+output.  Its backward finds each window's first maximal position from them
+and writes dx into a fresh array, or into an ``out`` its caller passes: a
+conv block passes its own cache of g, the pool's x, which nothing reads
+after.  A backward consumes its cache: call it once per forward.
 
 conv_block_forward is conv2d_forward, activation_forward and
 maxpool2_forward in one pass over the conv's patch blocks: each block's conv
@@ -32,13 +33,6 @@ shares each block's code with those kernels (_conv_block, _maxpool2), and
 its cache is the three kernels' caches, so its backward is their three
 backwards.  Its slice loop, _chunks, is the only place an activation runs
 in pieces; activations.apply runs every input in one pass.
-
-The pool backward writes dx into the x it cached whenever x is writeable and
-of dy's dtype, so anything that must outlive the backward reaches a pool
-read-only.  A training pool output is read-only, so a pool fed by another
-pool leaves the first pool's y intact, and ``Model.forward`` hands its first
-layer a read-only view of the caller's input.  Every other x a pool gets in
-a model is a fresh output held by nothing but that pool's cache.
 
 Arrays keep NCHW shapes, but the conv and pool kernels hand on NHWC memory:
 a conv output, a pool output and the conv's input gradient are NCHW views of
@@ -193,11 +187,10 @@ def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: Activati
     rows of y.  The cache is the three layers' caches, ((x, w), g'(z),
     (g(z), y)) with z the conv output, so the backward is maxpool2_backward,
     activation_backward and conv2d_backward in turn; g and g' are written
-    straight into whole-batch NHWC arrays, and y is read-only.
-    with_cache=False computes g in the scratch buffer, holds no whole-batch
-    array but y, and gives a writeable y and the cache None.  Every result
-    is bitwise the one of the three kernels.  Non-float inputs run in
-    float64, as the activation would run them."""
+    straight into whole-batch NHWC arrays.  with_cache=False computes g in
+    the scratch buffer, holds no whole-batch array but y, and gives the
+    cache None.  Every result is bitwise the one of the three kernels.
+    Non-float inputs run in float64, as the activation would run them."""
     _check_conv(x, w, b)
     n, _, h, wd = x.shape
     _check_even("conv block", h, wd)
@@ -235,7 +228,6 @@ def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: Activati
     _block_runs(x, dtype, run)
     if not with_cache:
         return y, None
-    y.flags.writeable = False  # a later pool may take y as its x (see the module docstring)
     return y, ((x, w), grad.transpose(0, 3, 1, 2), (g.transpose(0, 3, 1, 2), y))
 
 
@@ -347,20 +339,16 @@ def maxpool2_forward(x: np.ndarray, with_cache: bool = True):
     maximal position, the position argmax over the window gives (a NaN
     counts as maximal), so a leading -0.0 keeps its sign.
 
-    The cache is (x, y), and y is read-only; with_cache=False gives a
-    writeable y and the cache None."""
+    The cache is (x, y); with_cache=False gives the cache None."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2 expects a 4-d input (N,C,H,W), got shape {x.shape}")
     _check_even("maxpool2", *x.shape[2:])
     y = _maxpool2(x)
-    if not with_cache:
-        return y, None
-    y.flags.writeable = False  # a later pool may take y as its x (see the module docstring)
-    return y, (x, y)
+    return y, ((x, y) if with_cache else None)
 
 
-def maxpool2_backward(dy: np.ndarray, cache):
-    """Route dy to each window's first maximal position; dx has x's layout.
+def maxpool2_backward(dy: np.ndarray, cache, out: np.ndarray | None = None):
+    """Route dy to each window's first maximal position, into out if given.
 
     The routing is recomputed from the cached (x, y), one block of whole
     images of about CHUNK_BYTES of x at a time: a position is hit when it
@@ -368,21 +356,22 @@ def maxpool2_backward(dy: np.ndarray, cache):
     Each block of dy is first copied into y's layout, so every operand walks
     memory in the same order.  Each quadrant of dx is dy's bits ANDed with
     an all-ones or all-zeros mask, so a position that gets no gradient holds
-    +0.0 whatever the sign of dy.  dx is written into x when x is writeable
-    and of dy's dtype, otherwise into a fresh array."""
+    +0.0 whatever the sign of dy.  dx is written into out when given, an
+    array of x's shape that may be x itself, in out's dtype (dy is cast to
+    it); otherwise into a fresh array of dy's dtype in x's layout."""
     x, y = cache
     n = x.shape[0]
-    dx = x if x.flags.writeable and x.dtype == dy.dtype else np.empty_like(x, dtype=dy.dtype)
-    bits = np.dtype(f"i{dy.itemsize}")
+    dx = np.empty_like(x, dtype=dy.dtype) if out is None else out
+    bits = np.dtype(f"i{dx.itemsize}")
     has_nan = np.isnan(y).any()
     step = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
     for i in range(0, n, step):
         blk = slice(i, i + step)
         y_blk = y[blk]
-        d_blk = np.empty_like(y_blk, dtype=dy.dtype)
+        d_blk = np.empty_like(y_blk, dtype=dx.dtype)
         d_blk[...] = dy[blk]
         d_bits = d_blk.view(bits)
-        for k, (s, out) in enumerate(zip(_quadrants(x[blk]), _quadrants(dx[blk]))):
+        for k, (s, d) in enumerate(zip(_quadrants(x[blk]), _quadrants(dx[blk]))):
             if k == 3:  # every window has a maximal position
                 hit = ~claimed
             else:
@@ -394,7 +383,7 @@ def maxpool2_backward(dy: np.ndarray, cache):
                 else:
                     hit = np.greater(hit, claimed)  # hit and not claimed
                     claimed |= hit
-            np.bitwise_and(d_bits, np.subtract(0, hit, dtype=bits), out=out.view(bits))
+            np.bitwise_and(d_bits, np.subtract(0, hit, dtype=bits), out=d.view(bits))
     return dx
 
 

@@ -1,18 +1,17 @@
 """Model assembly, Adam, the training loop and evaluation.
 
 A model is a list of layers over one flat parameter dict.  Each layer kind
-(ConvBlock, Conv2d, Activation, MaxPool2, Flatten, Dense, Dropout) is one
-class whose ``forward(x, params, train, rng, with_cache)`` returns
-``(y, cache)`` and whose ``backward(dy, cache, grads)`` returns dx and stores
-its parameter gradients in ``grads``.  Both call the kernels in `layers`,
+(ConvBlock, Flatten, Dense, Activation, Dropout) is one class whose
+``forward(x, params, train, rng, with_cache)`` returns ``(y, cache)`` and
+whose ``backward(dy, cache, grads)`` returns dx and stores its parameter
+gradients in ``grads``.  Both call the kernels in `layers`,
 looked up on the module at call time.
 
 The benchmark architecture family stacks ``conv_layers`` ConvBlocks, each a
 3x3 same-pad conv -> activation -> 2x2 max pool run as one pass per patch
 block, with channel widths (32, 64, 128, 128), then Flatten -> Dense(64) ->
 Activation -> Dropout(0.5) -> Dense(10) logits.  Weights use He-uniform
-fan-in init, biases start at zero.  Conv2d and MaxPool2 are the unfused
-layers a ConvBlock computes bit for bit.
+fan-in init, biases start at zero.
 """
 
 from __future__ import annotations
@@ -77,38 +76,27 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         params[k] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-class Conv2d:
-    """``need_dx=False`` marks an input layer: its backward returns None in
-    place of the image gradient and skips computing it."""
-
-    def __init__(self, name: str, need_dx: bool = True):
-        self.w, self.b = f"{name}_w", f"{name}_b"
-        self.need_dx = need_dx
-
-    def forward(self, x, params, train, rng, with_cache):
-        return layers.conv2d_forward(x, params[self.w], params[self.b])
-
-    def backward(self, dy, cache, grads):
-        dx, grads[self.w], grads[self.b] = layers.conv2d_backward(dy, cache, self.need_dx)
-        return dx
-
-
-class ConvBlock(Conv2d):
-    """Conv2d -> Activation -> MaxPool2 as one layer.  The forward runs all
-    three one patch block at a time (``layers.conv_block_forward``); the
-    backward runs the three layers' whole-batch backwards in turn."""
+class ConvBlock:
+    """3x3 conv -> activation -> 2x2 max pool as one layer.  The forward runs
+    all three one patch block at a time (``layers.conv_block_forward``); the
+    backward runs their whole-batch backwards in turn, the pool's writing dx
+    into the block's cached g.  ``need_dx=False`` marks an input layer: its
+    backward returns None in place of the image gradient and skips computing
+    it."""
 
     def __init__(self, name: str, id: ActivationId, need_dx: bool = True):
-        super().__init__(name, need_dx)
+        self.w, self.b = f"{name}_w", f"{name}_b"
         self.id = id
+        self.need_dx = need_dx
 
     def forward(self, x, params, train, rng, with_cache):
         return layers.conv_block_forward(x, params[self.w], params[self.b], self.id, with_cache)
 
     def backward(self, dy, cache, grads):
         conv, act, pool = cache
-        d = layers.activation_backward(layers.maxpool2_backward(dy, pool), act)
-        return super().backward(d, conv, grads)
+        d = layers.activation_backward(layers.maxpool2_backward(dy, pool, out=pool[0]), act)
+        dx, grads[self.w], grads[self.b] = layers.conv2d_backward(d, conv, self.need_dx)
+        return dx
 
 
 class Dense:
@@ -132,14 +120,6 @@ class Activation:
 
     def backward(self, dy, cache, grads):
         return layers.activation_backward(dy, cache)
-
-
-class MaxPool2:
-    def forward(self, x, params, train, rng, with_cache):
-        return layers.maxpool2_forward(x, with_cache)
-
-    def backward(self, dy, cache, grads):
-        return layers.maxpool2_backward(dy, cache)
 
 
 class Flatten:
@@ -168,8 +148,6 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None, with_caches: bool = False):
         caches = []
-        x = x.view()
-        x.flags.writeable = False  # keeps the caller's x from a pool (see oscnet.layers)
         for layer in self.layers:
             x, cache = layer.forward(x, self.params, train, rng, with_caches)
             if with_caches:

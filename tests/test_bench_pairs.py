@@ -1,0 +1,46 @@
+"""`tools/bench_pairs.py`'s per-metric verdicts on hand-made pairs of runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave tools/ as it is
+    spec.loader.exec_module(module)
+    return module
+
+
+def pairs(parent, change):
+    return [{"parent": {"metrics": {"m": {"value": p}}}, "change": {"metrics": {"m": {"value": c}}}}
+            for p, c in zip(parent, change)]
+
+
+# Both parents have median 40.  WIDE's quartiles are 35.75 and 44.25, a
+# spread of 0.21 of the median; NARROW's 39.625 and 40.375, 0.019.  The
+# bound is 0.15.
+WIDE = [30, 35, 35, 38, 40, 40, 42, 45, 45, 50]
+NARROW = [39, 39.5, 39.5, 40, 40, 40, 40, 40.5, 40.5, 41]
+
+
+@pytest.mark.parametrize("better, parent, change, unresolved", [
+    ("lower", WIDE, [v + 1 for v in WIDE], True),  # wide spread, change worse
+    ("lower", WIDE, [v - 1 for v in WIDE], True),  # better in every pair, not than every run
+    ("lower", WIDE, [29.0] * 10, False),  # every change run beats every parent run
+    ("lower", NARROW, [v * 1.5 for v in NARROW], False),  # narrow spread: the bound decides
+    ("higher", WIDE, [51.0] * 10, False),
+    ("higher", WIDE, [29.0] * 10, True),
+], ids=["wide-worse", "wide-better-per-pair", "wide-beats-all", "narrow", "higher-beats-all",
+        "higher-worse"])
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(bench_pairs, better, parent,
+                                                                  change, unresolved):
+    spec = {"name": "m", "unit": "s", "better": better, "bound": 0.15}
+    row = bench_pairs.compare(pairs(parent, change), spec)
+    assert row["unresolved"] is unresolved

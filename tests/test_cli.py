@@ -235,6 +235,17 @@ class TestBench:
         assert "diverged" in (out / "summary.csv").read_text()
         assert (out / "records.jsonl").is_file()
 
+    @pytest.mark.parametrize("name", ["data_batch_3.bin", "test_batch.bin"])
+    def test_an_empty_batch_file_is_a_data_error_before_training(self, synthetic_archive,
+                                                                  tmp_path, capsys, name):
+        (synthetic_archive / name).write_bytes(b"")
+        out = tmp_path / "bench"
+        assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", out,
+                    "--activations", "relu", "--conv-layers", "1", "--epochs", "1",
+                    "--batch", "25", "--deterministic"]) == EXIT_DATA
+        assert str(synthetic_archive / name) in capsys.readouterr().err
+        assert not (out / "manifest.json").exists() and not (out / "records.jsonl").exists()
+
     @pytest.mark.parametrize("subset", ["-10", "0"])
     def test_non_positive_subset_is_a_config_error(self, synthetic_archive, tmp_path, capsys, subset):
         assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", tmp_path,

@@ -76,19 +76,21 @@ def window_has_nan(x: np.ndarray) -> np.ndarray:
 
 
 def check_pool_against_reference(x: np.ndarray, dy: np.ndarray):
-    """`layers.maxpool2_forward` in eval and training and its backward are
-    bitwise the argmax reference; a training y is read-only.  The backward
-    may consume x, so it runs last."""
+    """`layers.maxpool2_forward` in eval and training and its backward, into
+    a fresh dx and into an ``out`` in x's layout, are bitwise the argmax
+    reference."""
     want_y, want_arg = reference_maxpool2_forward(x)
     want_dx = reference_maxpool2_backward(dy, want_arg, x.shape)
     assert np.isnan(want_y[window_has_nan(x)]).all()
     y, cache = layers.maxpool2_forward(x, with_cache=False)
-    assert cache is None and y.flags.writeable
+    assert cache is None
     assert_bitwise(y, want_y)
     y, cache = layers.maxpool2_forward(x)
-    assert not y.flags.writeable
     assert_bitwise(y, want_y)
     assert_bitwise(layers.maxpool2_backward(dy, cache), want_dx)
+    out = np.empty_like(x, dtype=dy.dtype)
+    assert layers.maxpool2_backward(dy, cache, out=out) is out
+    assert_bitwise(out, want_dx)
 
 
 def max4_from_the_front(a, b, c, d, out=None):
@@ -104,18 +106,6 @@ def other_zero_tie_rule():
     with mock.patch.object(layers, "_max4", max4_from_the_front), \
             mock.patch.object(layers, "_FOLD_KEEPS_FIRST_ZERO", False):
         yield
-
-
-def reference_maxpool2_layer_forward(x: np.ndarray, with_cache: bool = True):
-    """`reference_maxpool2_forward` with the signature of
-    `layers.maxpool2_forward`, so it can stand in for it; the cache holds
-    the argmax index."""
-    y, arg = reference_maxpool2_forward(x)
-    return y, ((arg, x.shape) if with_cache else None)
-
-
-def reference_maxpool2_layer_backward(dy: np.ndarray, cache) -> np.ndarray:
-    return reference_maxpool2_backward(dy, *cache)
 
 
 def reference_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -461,7 +451,7 @@ class TestMaxPool:
         want = reference_maxpool2_backward(dy, reference_maxpool2_forward(x)[1], x.shape)
         tracemalloc.start()
         try:
-            dx = layers.maxpool2_backward(dy, cache)
+            dx = layers.maxpool2_backward(dy, cache, out=x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -469,14 +459,13 @@ class TestMaxPool:
         assert peak < x.nbytes / 2, f"peak {peak / 1e6:.1f} MB"
         assert_bitwise(dx, want)
 
-    @pytest.mark.parametrize("case", ["read-only x", "float64 dy"])
+    @pytest.mark.parametrize("case", ["no out", "float64 dy"])
     def test_backward_leaves_x_alone_when_it_cannot_hold_dx(self, case):
+        """Without ``out`` dx is a fresh array of dy's dtype in x's layout."""
         x = nhwc(RNG.standard_normal((3, 4, 6, 8)).astype(np.float32))
         x[0, 0, :2, :2] = 0.0  # a tie
         dy = RNG.standard_normal((3, 4, 3, 4)).astype(np.float32)
-        if case == "read-only x":
-            x.flags.writeable = False
-        else:
+        if case == "float64 dy":
             dy = dy.astype(np.float64)
         before = x.copy()
         _, cache = layers.maxpool2_forward(x)
@@ -484,6 +473,16 @@ class TestMaxPool:
         assert_bitwise(dx, reference_maxpool2_backward(dy, reference_maxpool2_forward(x)[1], x.shape))
         assert_bitwise(x, before)
         assert not np.shares_memory(dx, x)
+        assert dx.strides == np.empty_like(x, dtype=dy.dtype).strides
+
+    def test_backward_casts_dy_to_the_dtype_of_out(self):
+        x = nhwc(RNG.standard_normal((3, 4, 6, 8)).astype(np.float32))
+        dy = RNG.standard_normal((3, 4, 3, 4))
+        _, cache = layers.maxpool2_forward(x)
+        out = np.empty_like(x)
+        assert layers.maxpool2_backward(dy, cache, out=out) is out
+        want_arg = reference_maxpool2_forward(x)[1]
+        assert_bitwise(out, reference_maxpool2_backward(dy.astype(np.float32), want_arg, x.shape))
 
     def test_nhwc_memory_stays_nhwc(self):
         x = nhwc(RNG.standard_normal((2, 3, 4, 6)))

@@ -12,11 +12,9 @@ from oscnet.activations import ActivationId
 from oscnet.errors import ConfigError, DivergenceError, ShapeError
 from oscnet.network import (
     Activation,
-    Conv2d,
     ConvBlock,
     Dense,
     Flatten,
-    MaxPool2,
     Model,
     NetworkConfig,
     adam_init,
@@ -30,8 +28,6 @@ from test_layers import (
     other_zero_tie_rule,
     reference_conv2d_backward,
     reference_conv2d_forward,
-    reference_maxpool2_layer_backward,
-    reference_maxpool2_layer_forward,
 )
 
 A = ActivationId
@@ -84,11 +80,11 @@ class TestBuildModel:
 
     def test_only_the_input_conv_skips_its_input_gradient(self):
         m = build_model(NetworkConfig(3, A.RELU, seed=0))
-        assert [s.need_dx for s in m.layers if isinstance(s, Conv2d)] == [False, True, True]
+        assert [s.need_dx for s in m.layers if isinstance(s, ConvBlock)] == [False, True, True]
 
     def test_channel_progression(self):
         m = build_model(NetworkConfig(3, A.TANH, seed=0))
-        convs = [m.params[s.w].shape[0] for s in m.layers if isinstance(s, Conv2d)]
+        convs = [m.params[s.w].shape[0] for s in m.layers if isinstance(s, ConvBlock)]
         assert convs == [32, 64, 128]
 
     @pytest.mark.parametrize("depth", [0, 5])
@@ -219,6 +215,25 @@ def reference_conv_block_forward(x, w, b, id, with_cache=True):
     return y, ((conv, act, pool) if with_cache else None)
 
 
+def reference_conv_block_backward(dy, cache, need_dx=True):
+    """The pool, activation and conv backwards of that cache, each looked up
+    on `layers` at call time; the pool's dx is a fresh array."""
+    conv, act, pool = cache
+    d = layers.activation_backward(layers.maxpool2_backward(dy, pool), act)
+    return layers.conv2d_backward(d, conv, need_dx)
+
+
+class UnfusedBlock(ConvBlock):
+    """A ConvBlock run as its three kernel pairs, one after another."""
+
+    def forward(self, x, params, train, rng, with_cache):
+        return reference_conv_block_forward(x, params[self.w], params[self.b], self.id, with_cache)
+
+    def backward(self, dy, cache, grads):
+        dx, grads[self.w], grads[self.b] = reference_conv_block_backward(dy, cache, self.need_dx)
+        return dx
+
+
 class TestBlockedConvOracle:
     @pytest.mark.parametrize("act", [A.RELU, A.GCU])
     def test_two_adam_steps_match_the_single_gemm_reference(self, act, monkeypatch):
@@ -248,63 +263,34 @@ class TestBlockedConvOracle:
         assert any(not np.array_equal(got[name], want[name]) for name in want)
 
 
-def pool_stack(stack) -> Model:
-    """float64 Model over ``stack`` for (N,3,8,8) inputs: Conv2d layers with
-    8 filters each and one Dense "layer5" to 10 logits, seeded He-uniform
-    params."""
-    rng = np.random.default_rng(4)
-    params = {}
-    x = np.zeros((1, 3, 8, 8))
-    for layer in stack:
-        if isinstance(layer, Conv2d):
-            fan_in = x.shape[1] * 9
-            params[layer.w] = rng.uniform(-1, 1, (8, x.shape[1], 3, 3)) * np.sqrt(6.0 / fan_in)
-            params[layer.b] = np.zeros(8)
-        elif isinstance(layer, Dense):
-            params[layer.w] = rng.uniform(-1, 1, (x.shape[1], 10)) * np.sqrt(6.0 / x.shape[1])
-            params[layer.b] = np.zeros(10)
-        x, _ = layer.forward(x, params, False, None, False)
-    return Model(stack, params)
-
-
-class TestPoolAliasing:
-    """The pool backward writes dx into the input it cached, so no stack may
-    hand it an array that is still needed: another pool's output, or the
-    caller's images."""
-
-    def _check_against_the_reference_pool(self, stack, monkeypatch):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((4, 3, 8, 8))
-        x[0, :, :2, :2] = 0.0  # tied windows
-        labels = rng.integers(0, 10, 4)
+class TestBlockOutputsSurviveTheBackward:
+    def test_loss_and_grads_leaves_the_images_and_every_block_output_alone(self, monkeypatch):
+        """Each block's y is the next block's cached input and its own pool's
+        cached output; only the block's own g takes the pool's dx."""
+        m = build_model(NetworkConfig(2, A.GCU, seed=5))
+        rng = np.random.default_rng(5)
+        x = rng.random((4, 3, 32, 32), dtype=np.float32)
+        x[0, :, :4, :4] = 0.0  # tied windows
         before = x.copy()
-        loss, grads = pool_stack(stack).loss_and_grads(x, labels)
-        np.testing.assert_array_equal(x, before)
-        monkeypatch.setattr(layers, "maxpool2_forward", reference_maxpool2_layer_forward)
-        monkeypatch.setattr(layers, "maxpool2_backward", reference_maxpool2_layer_backward)
-        want_loss, want = pool_stack(stack).loss_and_grads(x, labels)
-        assert loss == want_loss
-        assert grads.keys() == want.keys()
-        for name in want:
-            np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
-            assert np.abs(want[name]).max() > 0, name
+        outputs, pool_dx = [], []
 
-    def test_two_adjacent_pools_match_the_argmax_reference(self, monkeypatch):
-        stack = [Conv2d("layer0"), Activation(A.GCU), MaxPool2(), MaxPool2(), Flatten(),
-                 Dense("layer5")]
-        self._check_against_the_reference_pool(stack, monkeypatch)
+        def block_spy(*args, _real=layers.conv_block_forward, **kwargs):
+            y, cache = _real(*args, **kwargs)
+            outputs.append((y, y.copy(order="K")))
+            return y, cache
 
-    def test_a_pool_first_stack_leaves_the_callers_images_alone(self, monkeypatch):
-        stack = [MaxPool2(), Conv2d("layer0"), Activation(A.RELU), MaxPool2(), Flatten(),
-                 Dense("layer5")]
-        self._check_against_the_reference_pool(stack, monkeypatch)
-
-    def test_a_conv_keeps_its_writeable_input_for_its_backward(self, monkeypatch):
-        """The second conv caches the activation's writeable output as its
-        input, and the pool after it writes dx into that conv's output."""
-        stack = [Conv2d("layer0"), Activation(A.GCU), Conv2d("layer2"), MaxPool2(), Flatten(),
-                 Dense("layer5")]
-        self._check_against_the_reference_pool(stack, monkeypatch)
+        def pool_spy(dy, cache, out=None, _real=layers.maxpool2_backward):
+            dx = _real(dy, cache, out=out)
+            pool_dx.append(dx is out is cache[0])
+            return dx
+        monkeypatch.setattr(layers, "conv_block_forward", block_spy)
+        monkeypatch.setattr(layers, "maxpool2_backward", pool_spy)
+        m.loss_and_grads(x, rng.integers(0, 10, 4), rng=rng)
+        assert_bitwise(x, before)
+        assert len(outputs) == 2
+        for y, want in outputs:
+            assert_bitwise(y, want)
+        assert pool_dx == [True, True]
 
 
 def assert_same(got, want):
@@ -345,20 +331,12 @@ def conv_block_case(dtype, n=45):
     return x, params
 
 
-def unfused(id):
-    return [Conv2d("layer0"), Activation(id), MaxPool2()]
-
-
-def run_stack(stack, x, params, with_cache):
-    """The stack's output and its layers' caches; the input is read-only,
-    as Model.forward hands it on."""
+def run_block(block, x, params, with_cache):
+    """The block's output and cache; the input is read-only, so a block that
+    wrote into it would raise."""
     x = x.view()
     x.flags.writeable = False
-    caches = []
-    for layer in stack:
-        x, cache = layer.forward(x, params, with_cache, None, with_cache)
-        caches.append(cache)
-    return x, caches
+    return block.forward(x, params, with_cache, None, with_cache)
 
 
 def copied(a):
@@ -366,22 +344,19 @@ def copied(a):
     return tuple(map(copied, a)) if isinstance(a, tuple) else a.copy(order="K")
 
 
-def train_stack(stack, x, params, dy):
-    """Copies of the stack's training output and caches (the one cache of a
-    ConvBlock, a tuple of three for the unfused stack), then dx and the
+def train_block(block, x, params, dy):
+    """Copies of the block's training output and cache, then dx and the
     parameter gradients of its backward from dy."""
-    y, caches = run_stack(stack, x, params, True)
-    assert not y.flags.writeable
-    grads = {"forward": copied((y, caches[0] if len(caches) == 1 else tuple(caches)))}
-    for layer, cache in zip(reversed(stack), reversed(caches)):
-        dy = layer.backward(dy, cache, grads)
-    grads["dx"] = dy
+    y, cache = run_block(block, x, params, True)
+    grads = {"forward": copied((y, cache))}
+    grads["dx"] = block.backward(dy, cache, grads)
     return grads
 
 
 class TestConvBlock:
-    """ConvBlock is bitwise the stack [Conv2d, Activation, MaxPool2] it
-    fuses: output, caches, input and parameter gradients, loss."""
+    """ConvBlock is bitwise the conv, activation and pool kernel pairs it
+    fuses (UnfusedBlock): output, cache, input and parameter gradients,
+    loss."""
 
     # A chunk of 40 bytes is 10 float32 or 5 float64 elements, which divide
     # no patch block's conv output, so slice edges fall mid-block.
@@ -400,12 +375,12 @@ class TestConvBlock:
         for tie_rule in ("probed", "other"):
             with np.errstate(all="ignore"), (other_zero_tie_rule() if tie_rule == "other"
                                              else contextlib.nullcontext()):
-                (y, [cache]), (want_y, _) = (run_stack(stack, x, params, False) for stack in
-                                             ([ConvBlock("layer0", act)], unfused(act)))
-                assert cache is None and y.flags.writeable
+                (y, cache), (want_y, _) = (run_block(block, x, params, False) for block in
+                                           (ConvBlock("layer0", act), UnfusedBlock("layer0", act)))
+                assert cache is None
                 assert_same(y, want_y)
-                got, want = (train_stack(stack, x, params, dy) for stack in
-                             ([ConvBlock("layer0", act)], unfused(act)))
+                got, want = (train_block(block, x, params, dy) for block in
+                             (ConvBlock("layer0", act), UnfusedBlock("layer0", act)))
                 assert got.keys() == want.keys()
                 for name in want:
                     assert_same(got[name], want[name])
@@ -426,7 +401,7 @@ class TestConvBlock:
         labels = np.random.default_rng(23).integers(0, 10, x.shape[0])
         tail = [Flatten(), Dense("layer5")]
         loss, grads = Model([ConvBlock("layer0", act), *tail], params).loss_and_grads(x, labels)
-        want_loss, want = Model([*unfused(act), *tail], params).loss_and_grads(x, labels)
+        want_loss, want = Model([UnfusedBlock("layer0", act), *tail], params).loss_and_grads(x, labels)
         assert np.isfinite(loss) and loss == want_loss
         assert grads.keys() == want.keys()
         for name in want:
@@ -446,11 +421,11 @@ class TestConvBlock:
     def test_an_empty_batch(self):
         _, params = conv_block_case(np.float32, n=1)
         x = np.zeros((0, 8, 16, 16), dtype=np.float32)
-        y, _ = run_stack([ConvBlock("layer0", A.GCU)], x, params, False)
-        assert_same(y, run_stack(unfused(A.GCU), x, params, False)[0])
+        y, _ = run_block(ConvBlock("layer0", A.GCU), x, params, False)
+        assert_same(y, run_block(UnfusedBlock("layer0", A.GCU), x, params, False)[0])
         dy = np.zeros((0, 8, 8, 8), dtype=np.float32)
-        got, want = (train_stack(stack, x, params, dy) for stack in
-                     ([ConvBlock("layer0", A.GCU)], unfused(A.GCU)))
+        got, want = (train_block(block, x, params, dy) for block in
+                     (ConvBlock("layer0", A.GCU), UnfusedBlock("layer0", A.GCU)))
         for name in want:
             assert_same(got[name], want[name])
         assert got["dx"].shape == x.shape and not got["layer0_w"].any()

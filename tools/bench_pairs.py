@@ -14,16 +14,19 @@ slow spell of a shared machine does not always hit the same side.
 
 The output JSON holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's quartiles and per-pair values, ``change_worse_by`` (relative
-median change, positive when worse), ``change_better_in_pairs`` and
-``within_bound``.  Per workload it also holds each side's per-pair
-``rusage`` of the benchmark process: CPU seconds over wall seconds, and
-involuntary context switches.  A change that runs on more cores loses most
-when a neighbour holds one of them, and these show it.  ``--claim W:M``
-adds ``claimed_gain``: it holds when the change is better in at least 9 of
-10 pairs and its median beats the parent's by more than the parent's
-quartile distance.  ``--traced W:S,S`` adds traced
-pairs (``--trace 1``) with the per-layer metrics and, for each seconds
-metric, milliseconds per conv GFLOP.
+median change, positive when worse), ``change_better_in_pairs``,
+``within_bound`` and ``unresolved``.  A metric is unresolved when the
+parent's quartile distance over its median exceeds the metric's bound, so
+its runs spread too widely to tell a change within the bound, and not every
+run of the change beats every run of the parent.  Per workload it also
+holds each side's per-pair ``rusage`` of the benchmark process: CPU seconds
+over wall seconds, and involuntary context switches.  A change that runs on
+more cores loses most when a neighbour holds one of them, and these show it.
+``--claim W:M`` adds ``claimed_gain``: it holds when the change is better in
+at least 9 of 10 pairs and its median beats the parent's by more than the
+parent's quartile distance.  ``--traced W:S,S`` adds traced pairs
+(``--trace 1``) with the per-layer metrics and, for each seconds metric,
+milliseconds per conv GFLOP.
 """
 
 from __future__ import annotations
@@ -128,12 +131,15 @@ def compare(pairs: list, spec: dict) -> dict:
     p_med, c_med = q["parent"]["median"], q["change"]["median"]
     worse_by = sign * (p_med - c_med) / p_med if p_med else 0.0
     better = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+    spread = (q["parent"]["q3"] - q["parent"]["q1"]) / abs(p_med) if p_med else 0.0
+    beats_all = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": q["parent"], "change": q["change"],
         "change_worse_by": round(worse_by, 4),
         "change_better_in_pairs": better,
         "within_bound": worse_by <= spec["bound"],
+        "unresolved": spread > spec["bound"] and not beats_all,
         "values": values,
     }
 
