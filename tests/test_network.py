@@ -401,7 +401,8 @@ class TestConvBlock:
         labels = np.random.default_rng(23).integers(0, 10, x.shape[0])
         tail = [Flatten(), Dense("layer5")]
         loss, grads = Model([ConvBlock("layer0", act), *tail], params).loss_and_grads(x, labels)
-        want_loss, want = Model([UnfusedBlock("layer0", act), *tail], params).loss_and_grads(x, labels)
+        unfused = Model([UnfusedBlock("layer0", act), *tail], params)
+        want_loss, want = unfused.loss_and_grads(x, labels)
         assert np.isfinite(loss) and loss == want_loss
         assert grads.keys() == want.keys()
         for name in want:
