@@ -12,10 +12,6 @@ module constants its kernel reads, so each value is written once.
 Range endpoints and small-value slopes that are attained at interior optima are
 stored at full float64 precision with their defining equations noted inline; the
 numerical-scan module re-verifies all of them against dense grids.
-
-Every input runs through its kernel in one pass; a CNN conv block runs its
-activation in slices of CHUNK_BYTES inside its own patch-block loop
-(``layers.conv_block_forward``).
 """
 
 from __future__ import annotations
@@ -30,19 +26,6 @@ import numpy as np
 from .errors import DomainError, KinkError
 
 COUNTABLY_INFINITE = math.inf
-
-# A CNN conv block runs its activation over each patch block's conv output
-# in 1-d slices of this many bytes (layers.conv_block_forward), so every
-# kernel temporary stays in L2; maxpool2_backward and the continuity scan
-# size their blocks by it too.  256 KiB comes from a sweep of the two conv
-# blocks of a depth-2 float32 CNN (3->32 channels at 32x32, 32->64 at
-# 16x16) on a 2-core x86-64 box, two workers at one BLAS thread, numpy
-# 2.4.6.  Median ms per call at 64/128/256/512/1024 KiB, batch-64 training:
-# DSU 44/37/32/32/31, SSU 29/26/24/23/24, GELU 37/30/27/27/28; batch-256
-# eval: DSU 94/80/77/71/78, SSU 76/69/60/60/70, GELU 93/81/75/75/88.  A
-# second sweep agreed: 64 and 128 KiB lose in both modes, 1024 KiB loses in
-# eval, and 256 and 512 KiB tie within the spread between the two sweeps.
-CHUNK_BYTES = 1 << 18
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715

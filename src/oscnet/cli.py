@@ -57,13 +57,21 @@ def _parse_activations(text: str) -> list:
     return [_parse_one_activation(name) for name in text.split(",")]
 
 
+def _out_dir(path: str) -> Path:
+    """``path`` as a directory, made with its parents if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, say
+        raise ConfigError(f"cannot use --out-dir {path}: {exc.strerror}")
+    return Path(path)
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_properties(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
     rows = properties.verify_catalog()
     _write_json(out / "properties.json", properties.report_payload(rows))
     properties.write_report_csv(rows, out / "properties.csv")
@@ -80,8 +88,7 @@ def cmd_xor(args) -> int:
     spec = xorlab.TrainSpec(learning_rate=args.lr, epochs=args.epochs,
                             restarts=args.restarts, seed=args.seed,
                             init_scale=args.init_scale)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
     cert, _trace = xorlab.train_single_neuron(ident, spec)
     source = "trained"
     ruled_out = xorlab.xor_ruled_out(ident)
@@ -171,10 +178,14 @@ def cmd_bench(args) -> int:
         depths = [int(x) for x in args.conv_layers.split(",")]
     except ValueError:
         raise ConfigError(f"--conv-layers must be comma-separated integers, got {args.conv_layers!r}")
+    activations = _parse_activations(args.activations)
+    for flag, values in (("--activations", activations), ("--conv-layers", depths)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # its cells would train and be written twice
+            raise ConfigError(f"{flag} lists {repeated[0]} twice")
     cells = [NetworkConfig(depth, activation, seed=args.seed)  # checks every depth before any I/O
-             for activation in _parse_activations(args.activations) for depth in depths]
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+             for activation in activations for depth in depths]
+    out = _out_dir(args.out_dir)
 
     train_ds, test_ds = cifar.load_cifar10(data_dir)
     if args.subset is not None:
@@ -234,8 +245,7 @@ def cmd_emit_plots(args) -> int:
     if not records.is_file():
         raise DataFormatError(f"records file not found: {records}")
     rows = _read_records(records)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     with open(out / "accuracy_vs_epoch.csv", "w") as fh:
@@ -263,13 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("properties", help="verify the activation catalog")
-    sp.add_argument("--out-dir", default="out")
     sp.set_defaults(func=cmd_properties)
 
     sx = sub.add_parser("xor", help="certify single-neuron XOR learnability")
     train = xorlab.TrainSpec()
     sx.add_argument("activation", help="activation id, e.g. squ, gcu, tanh")
-    sx.add_argument("--out-dir", default="out")
     sx.add_argument("--lr", type=float, default=train.learning_rate)
     sx.add_argument("--epochs", type=int, default=train.epochs)
     sx.add_argument("--restarts", type=int, default=train.restarts)
@@ -280,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb = sub.add_parser("bench", help="run the CNN benchmark matrix")
     sb.add_argument("--data-dir", default=None,
                     help="CIFAR-10 binary archive dir (or env OSC_DATA_DIR)")
-    sb.add_argument("--out-dir", default="out")
     sb.add_argument("--activations", default="all")
     sb.add_argument("--conv-layers", default="1,2,3,4")
     sb.add_argument("--epochs", type=int, default=25)
@@ -293,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = sub.add_parser("emit-plots", help="reshape bench records into CSV series")
     se.add_argument("--records", required=True)
-    se.add_argument("--out-dir", default="out")
     se.set_defaults(func=cmd_emit_plots)
+    for command in (sp, sx, sb, se):  # each writes into its --out-dir (see _out_dir)
+        command.add_argument("--out-dir", default="out")
     return p
 
 

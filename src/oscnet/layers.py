@@ -20,19 +20,18 @@ single product, written into that cache.  The 2x2 max pool builds no
 argmax index: its forward is three np.maximum calls folded from the last
 window position, and its training cache is (x, y), its input and its
 output.  Its backward finds each window's first maximal position from them
-and writes dx into a fresh array, or into an ``out`` its caller passes: a
-conv block passes its own cache of g, the pool's x, which nothing reads
-after.  A backward consumes its cache: call it once per forward.
+and writes dx into a fresh array, or into an ``out`` its caller passes.
+A backward consumes its cache: call it once per forward.
 
 conv_block_forward is conv2d_forward, activation_forward and
 maxpool2_forward in one pass over the conv's patch blocks: each block's conv
 output stays in a scratch buffer of its run while the activation kernel runs
-over it in CHUNK_BYTES slices and the pool reads the result, so no
-whole-batch conv output is made and the pool runs on every worker.  It
-shares each block's code with those kernels (_conv_block, _maxpool2), and
-its cache is the three kernels' caches, so its backward is their three
-backwards.  Its slice loop, _chunks, is the only place an activation runs
-in pieces; activations.apply runs every input in one pass.
+over it in CHUNK_BYTES slices (_chunks, the only place an activation runs in
+pieces) and the pool reads the result, so no whole-batch conv output is
+made and the pool runs on every worker.  It shares each block's code with
+those kernels (_conv_block, _maxpool2), and its cache is theirs:
+conv_block_backward runs their three backwards, the pool's writing dx into
+the cached g, which nothing reads after.
 
 Arrays keep NCHW shapes, but the conv and pool kernels hand on NHWC memory:
 a conv output, a pool output and the conv's input gradient are NCHW views of
@@ -45,10 +44,9 @@ The conv's patch blocks run side by side, one contiguous run of blocks per
 worker (see _workers for the worker count), under the caller's numpy error
 state.  Each run fills its own patch and scratch buffers and writes only its
 own blocks of the outputs, so every block is the one a single loop builds.
-dW is summed in block order: the run that starts at block 0 adds its blocks'
-products into dW as it goes, the later runs return theirs, and the caller
-adds those in run order, so dW is bitwise the sequential sum at any worker
-count.  The pool backward, db and the dense layers run on the calling
+dW is summed in block order: each run returns its blocks' products and the
+caller adds them in block order, so dW is bitwise the sequential sum at any
+worker count.  The pool backward, db and the dense layers run on the calling
 thread, and so does maxpool2_forward outside a conv block: split across
 two workers, the pool backward was slower.
 """
@@ -59,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _workers
-from .activations import CHUNK_BYTES, ActivationId, _kernel, apply, apply_with_grad
+from .activations import ActivationId, _kernel, apply, apply_with_grad
 from .activations import apply_grad  # noqa: F401  perfbench/spans.py hooks layers.apply_grad by name
 from .errors import LabelError, ShapeError
 
@@ -70,6 +68,18 @@ PAD = 1
 # thread), budgets of 0.5 to 4 MiB gave relu CNN training and eval rates
 # within about 10 % of each other; none won at every depth.
 BLOCK_BYTES = 1 << 20
+# A conv block runs its activation over each patch block's conv output in
+# 1-d slices of this many bytes (_chunks), so every kernel temporary stays
+# in L2; maxpool2_backward sizes its image blocks by it too.  256 KiB comes
+# from a sweep of the two conv blocks of a depth-2 float32 CNN (3->32
+# channels at 32x32, 32->64 at 16x16) on a 2-core x86-64 box, two workers
+# at one BLAS thread, numpy 2.4.6.  Median ms per call at
+# 64/128/256/512/1024 KiB, batch-64 training: DSU 44/37/32/32/31, SSU
+# 29/26/24/23/24, GELU 37/30/27/27/28; batch-256 eval: DSU 94/80/77/71/78,
+# SSU 76/69/60/60/70, GELU 93/81/75/75/88.  A second sweep agreed: 64 and
+# 128 KiB lose in both modes, 1024 KiB loses in eval, and 256 and 512 KiB
+# tie within the spread between the two sweeps.
+CHUNK_BYTES = 1 << 18
 DROPOUT_RATE = 0.5
 
 
@@ -95,16 +105,15 @@ def _patch_blocks(x: np.ndarray, dtype, step: int, start: int, stop: int):
 
 
 def _block_runs(x: np.ndarray, dtype, fn) -> list:
-    """[fn(lo, blocks)] for contiguous runs of the patch blocks of x, one run
-    per worker (see _workers), in block order.  lo is the run's first block
-    and blocks its _patch_blocks.  A block holds as many images as fit their
-    patch matrix into BLOCK_BYTES, at least one; a zero-byte image counts as
-    one byte."""
+    """[fn(blocks)] for contiguous runs of the patch blocks of x, one run per
+    worker (see _workers), in block order; blocks is the run's
+    _patch_blocks.  A block holds as many images as fit their patch matrix
+    into BLOCK_BYTES, at least one; a zero-byte image counts as one byte."""
     n, c, h, w = x.shape
     per_image = h * w * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
     step = max(1, min(n, BLOCK_BYTES // max(1, per_image)))
     return _workers.runs(-(-n // step),
-                         lambda lo, hi: fn(lo, _patch_blocks(x, dtype, step, lo, hi)))
+                         lambda lo, hi: fn(_patch_blocks(x, dtype, step, lo, hi)))
 
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -131,7 +140,7 @@ def _conv(x: np.ndarray, w: np.ndarray, dtype, b: np.ndarray | None = None) -> n
     wmat_t = _weight_matrix(w).T
     y = np.empty((n, h, wd, k), dtype=dtype)
 
-    def run(lo, blocks):
+    def run(blocks):
         for blk, col in blocks:
             _conv_block(col, wmat_t, b, y[blk].reshape(col.shape[0], k))
 
@@ -185,11 +194,10 @@ def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: Activati
     activation runs over that buffer in CHUNK_BYTES slices, and the pool
     reads the activation while it is still in cache and writes the block's
     rows of y.  The cache is the three layers' caches, ((x, w), g'(z),
-    (g(z), y)) with z the conv output, so the backward is maxpool2_backward,
-    activation_backward and conv2d_backward in turn; g and g' are written
-    straight into whole-batch NHWC arrays.  with_cache=False computes g in
-    the scratch buffer, holds no whole-batch array but y, and gives the
-    cache None.  Every result is bitwise the one of the three kernels.
+    (g(z), y)) with z the conv output, for conv_block_backward; g and g' are
+    written straight into whole-batch NHWC arrays.  with_cache=False
+    computes g in the scratch buffer, holds no whole-batch array but y, and
+    gives the cache None.  Every result is bitwise the one of the three kernels.
     Non-float inputs run in float64, as the activation would run them."""
     _check_conv(x, w, b)
     n, _, h, wd = x.shape
@@ -210,7 +218,7 @@ def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: Activati
         # x86-64, glibc 2.36).
         g, grad = np.empty((2, n, h, wd, k), dtype=dtype)
 
-    def run(lo, blocks):
+    def run(blocks):
         z = None
         for blk, col in blocks:
             rows = col.shape[0]
@@ -231,6 +239,14 @@ def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: Activati
     return y, ((x, w), grad.transpose(0, 3, 1, 2), (g.transpose(0, 3, 1, 2), y))
 
 
+def conv_block_backward(dy: np.ndarray, cache, need_dx: bool = True):
+    """(dx, dw, db) of conv_block_forward: the pool's, the activation's and
+    the conv's backward in turn; dx is None when need_dx is False."""
+    conv, act, pool = cache
+    d = activation_backward(maxpool2_backward(dy, pool, out=pool[0]), act)
+    return conv2d_backward(d, conv, need_dx)
+
+
 def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     """(dx, dw, db); dx is None when need_dx is False (an input layer).
 
@@ -244,15 +260,10 @@ def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     dtype = np.result_type(dy, x, w)
     dwmat = np.zeros((k, KERNEL * KERNEL * c), dtype=dtype)
 
-    def run(lo, blocks):
-        prods = (dmat[blk].reshape(col.shape[0], k).T @ col for blk, col in blocks)
-        if lo == 0:  # these blocks come first in the sum: add them now
-            for prod in prods:
-                np.add(dwmat, prod, out=dwmat)
-            return []
-        return list(prods)
+    def run(blocks):
+        return [dmat[blk].reshape(col.shape[0], k).T @ col for blk, col in blocks]
 
-    for prods in _block_runs(x, dtype, run):  # the later runs' products, in block order
+    for prods in _block_runs(x, dtype, run):
         for prod in prods:
             dwmat += prod
     dw = np.ascontiguousarray(dwmat.reshape(k, KERNEL, KERNEL, c).transpose(0, 3, 1, 2))

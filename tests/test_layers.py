@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from oscnet import _workers, layers
-from oscnet.activations import CHUNK_BYTES, ActivationId, apply, apply_grad
+from oscnet.activations import ActivationId, apply, apply_grad
 from oscnet.errors import LabelError, ShapeError
 
 A = ActivationId
@@ -586,7 +586,7 @@ class TestConvBlockForward:
         x = nhwc(rng.standard_normal((64, 32, 32, 32)).astype(np.float32))
         w = (rng.standard_normal((32, 32, 3, 3)) / 17).astype(np.float32)
         b = rng.standard_normal(32).astype(np.float32)
-        bound = workers * (2 * layers.BLOCK_BYTES + 4 * CHUNK_BYTES)
+        bound = workers * (2 * layers.BLOCK_BYTES + 4 * layers.CHUNK_BYTES)
         for with_cache in (True, False):
             tracemalloc.start()
             try:

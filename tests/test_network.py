@@ -128,9 +128,10 @@ class TestBuildModel:
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
-KERNELS = ("conv_block_forward", "conv2d_forward", "conv2d_backward", "maxpool2_forward",
-           "maxpool2_backward", "activation_forward", "activation_backward", "dense_forward",
-           "dense_backward", "dropout_forward", "dropout_backward", "softmax_cross_entropy")
+KERNELS = ("conv_block_forward", "conv_block_backward", "conv2d_forward", "conv2d_backward",
+           "maxpool2_forward", "maxpool2_backward", "activation_forward", "activation_backward",
+           "dense_forward", "dense_backward", "dropout_forward", "dropout_backward",
+           "softmax_cross_entropy")
 
 
 class TestKernelCalls:
@@ -147,15 +148,16 @@ class TestKernelCalls:
         return calls
 
     def test_one_training_step_calls_each_kernel_once_per_layer(self, monkeypatch):
-        """A conv block's forward is one kernel; its backward is the
-        backwards of its conv, activation and pool."""
+        """A conv block's forward is one kernel; its backward is one kernel
+        that calls the backwards of its conv, activation and pool."""
         m = build_model(NetworkConfig(2, A.GCU, seed=0))
         rng = np.random.default_rng(0)
         x = rng.random((3, 3, 32, 32), dtype=np.float32)
         calls = self._count(monkeypatch)
         m.loss_and_grads(x, rng.integers(0, 10, 3), rng=rng)
         assert calls == {
-            "conv_block_forward": 2, "conv2d_forward": 0, "conv2d_backward": 2,
+            "conv_block_forward": 2, "conv_block_backward": 2,
+            "conv2d_forward": 0, "conv2d_backward": 2,
             "maxpool2_forward": 0, "maxpool2_backward": 2,
             "activation_forward": 1, "activation_backward": 3,
             "dense_forward": 2, "dense_backward": 2,

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from oscnet import xorlab
-from oscnet.activations import ActivationId, apply, apply_grad, apply_with_grad
+from oscnet.activations import ActivationId, apply, apply_grad, apply_with_grad, descriptor
 from oscnet.cli import _write_json
 from oscnet.errors import ConfigError
-from oscnet.properties import Interval
+from oscnet.properties import DEFAULT_SCAN, Interval, sign_with_tol
 from oscnet.xorlab import (
     SingleNeuron,
     TrainSpec,
@@ -27,6 +27,7 @@ from oscnet.xorlab import (
 
 A = ActivationId
 RULED_OUT = sorted((i for i in A if xor_ruled_out(i)), key=lambda i: i.value)
+NON_MONOTONE = [i for i in A if not descriptor(i).monotonic]
 
 
 def sequential_reference(id, spec):
@@ -150,6 +151,44 @@ class TestWitness:
         assert cert.valid == (not xor_ruled_out(id)) == grid_search_certificate(id).valid
         redone = tuple(neuron_forward(cert.neuron, x) for x in xor_dataset().inputs)
         assert redone == cert.margins  # bit for bit, same scalar path
+
+
+def derivative_sign_changes(id):
+    """The sign changes of g' on DEFAULT_SCAN, found as `zero_crossings`
+    finds those of g: (lo, hi, g' rises) per bracket; g' rises through a
+    local minimum of g and falls through a local maximum."""
+    grid = DEFAULT_SCAN.grid()
+    signs = sign_with_tol(apply_grad(id, grid))
+    nonzero = np.flatnonzero(signs)
+    flips = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
+    return [(grid[nonzero[i]], grid[nonzero[i + 1]], signs[nonzero[i]] < 0) for i in flips]
+
+
+class TestReadoutRule:
+    """`oscnet xor` decides the paper's rule, sign(g(w.x + b)).  A neuron
+    inside a network is read through a readout, sign(v*g(w.x + b) + c), and
+    under that rule every non-monotone g realizes XOR: the +1 points sit at
+    a local extremum b of g, the -1 points at b +- p, and the threshold
+    halfway between g(b) and the nearer of g(b - p) and g(b + p)."""
+
+    @pytest.mark.parametrize("id", list(A), ids=str)
+    def test_derivative_changes_sign_exactly_where_g_is_not_monotonic(self, id):
+        assert bool(derivative_sign_changes(id)) == (not descriptor(id).monotonic)
+
+    def test_fourteen_ids_are_not_monotonic(self):
+        """The seven that `oscnet xor` certifies and seven it rules out."""
+        assert len(NON_MONOTONE) == 14
+        assert {A.SWISH, A.MISH, A.GELU} <= set(NON_MONOTONE) & set(RULED_OUT)
+
+    @pytest.mark.parametrize("id", NON_MONOTONE, ids=str)
+    def test_every_non_monotone_id_scores_xor_under_a_readout(self, id):
+        lo, hi, rises = derivative_sign_changes(id)[0]
+        b, half = 0.5 * (lo + hi), 0.025
+        v = -1.0 if rises else 1.0  # v*g has a local maximum at b
+        ds = xor_dataset()
+        a = v * apply(id, np.array(ds.inputs) @ (half, half) + b)  # b - 2*half, b, b, b + 2*half
+        c = -0.5 * (a[1] + max(a[0], a[3]))
+        assert (np.array(ds.labels) * (a + c) > xorlab.MARGIN_TOL).all()
 
 
 class TestGridSearch:
