@@ -111,11 +111,16 @@ def load_cifar10(data_dir):
     return _load_files(d, TRAIN_FILES), _load_files(d, [TEST_FILE])
 
 
-def stratified_subset(ds: ImageDataset, n: int, seed: int) -> ImageDataset:
-    """Exactly n/10 samples per class, chosen by a seeded shuffle within class."""
+def _check_subset_size(n: int) -> None:
+    """The rule stratified_subset applies to n alone; bench checks it before any I/O."""
     require_positive("subset size", n)
     if n % NUM_CLASSES:
         raise ConfigError(f"subset size must be divisible by {NUM_CLASSES}, got {n}")
+
+
+def stratified_subset(ds: ImageDataset, n: int, seed: int) -> ImageDataset:
+    """Exactly n/10 samples per class, chosen by a seeded shuffle within class."""
+    _check_subset_size(n)
     if n > len(ds):
         raise ConfigError(f"subset size {n} exceeds dataset size {len(ds)}")
     per_class = n // NUM_CLASSES

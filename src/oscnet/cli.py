@@ -185,6 +185,8 @@ def cmd_bench(args) -> int:
             raise ConfigError(f"{flag} lists {repeated[0]} twice")
     cells = [NetworkConfig(depth, activation, seed=args.seed)  # checks every depth before any I/O
              for activation in activations for depth in depths]
+    if args.subset is not None:
+        cifar._check_subset_size(args.subset)
     out = _out_dir(args.out_dir)
 
     train_ds, test_ds = cifar.load_cifar10(data_dir)

@@ -25,7 +25,7 @@ A backward consumes its cache: call it once per forward.
 
 conv_block_forward is conv2d_forward, activation_forward and
 maxpool2_forward in one pass over the conv's patch blocks: each block's conv
-output stays in a scratch buffer of its run while the activation kernel runs
+output stays in its thread's scratch buffer while the activation kernel runs
 over it in CHUNK_BYTES slices (_chunks, the only place an activation runs in
 pieces) and the pool reads the result, so no whole-batch conv output is
 made and the pool runs on every worker.  It shares each block's code with
@@ -42,8 +42,10 @@ transposing copy.  Any layout is accepted as input; only speed differs.
 
 The conv's patch blocks run side by side, one contiguous run of blocks per
 worker (see _workers for the worker count), under the caller's numpy error
-state.  Each run fills its own patch and scratch buffers and writes only its
-own blocks of the outputs, so every block is the one a single loop builds.
+state.  Each run fills its thread's patch and scratch buffers, kept between
+calls (_scratch) so a step maps no fresh pages for them: the largest request
+per role per thread, about 2.5 MB at the benchmark shapes.  A run writes
+only its own blocks of the outputs, so every block is the one a loop builds.
 dW is summed in block order: each run returns its blocks' products and the
 caller adds them in block order, so dW is bitwise the sequential sum at any
 worker count.  The pool backward, db and the dense layers run on the calling
@@ -52,6 +54,9 @@ two workers, the pool backward was slower.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,21 +86,36 @@ BLOCK_BYTES = 1 << 20
 # tie within the spread between the two sweeps.
 CHUNK_BYTES = 1 << 18
 DROPOUT_RATE = 0.5
+_local = threading.local()  # each thread's scratch buffers, one per role (_scratch)
+
+
+def _scratch(role: str, shape, dtype) -> np.ndarray:
+    """An uninitialised array carved from this thread's buffer for role,
+    grown to the largest request and kept between calls.  No role is live
+    twice on one thread: a run consumes its _patch_blocks before it returns,
+    conv2d_backward runs dW, then dx, and a pool thread runs one task at a time."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = getattr(_local, role, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_local, role, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def _patch_blocks(x: np.ndarray, dtype, step: int, start: int, stop: int):
     """Yield (slice, col) for blocks start..stop-1 of x (N,C,H,W), each of
     ``step`` whole images: col is the (nb*H*W, 9C) patch matrix of x[slice]
     in dtype, columns in (ki, kj, C) order.  Each block is copied into the
-    interior of one zero-bordered NHWC buffer, and one copy through a single
-    window view of that buffer fills the patch buffer.  Both buffers belong
-    to this call and are reused, so col is valid until the next block."""
+    interior of the zero-bordered NHWC "pad" scratch, and one copy through a
+    single window view of it fills the "cols" scratch (see _scratch), so col
+    is valid until the next block."""
     n, c, h, w = x.shape
     if h == 0 or w == 0:  # no patches, and no 3x3 window fits the border
         return
-    buf = np.zeros((step, h + 2 * PAD, w + 2 * PAD, c), dtype=dtype)
+    buf = _scratch("pad", (step, h + 2 * PAD, w + 2 * PAD, c), dtype)
+    buf[...] = 0  # the border; an earlier call may have left other values
     win = sliding_window_view(buf, (KERNEL, KERNEL), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    cols = np.empty(win.shape, dtype=dtype)  # (step, H, W, ki, kj, C)
+    cols = _scratch("cols", win.shape, dtype)  # (step, H, W, ki, kj, C)
     for i in range(start * step, min(stop * step, n), step):
         blk = slice(i, min(i + step, n))
         nb = blk.stop - i
@@ -190,7 +210,7 @@ def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: Activati
                        with_cache: bool = True):
     """maxpool2(activation(conv2d(x, w, b), id)) in one pass per patch block.
 
-    Each block's conv output goes into a scratch buffer of its run, its
+    Each block's conv output goes into its thread's scratch buffer, its
     activation runs over that buffer in CHUNK_BYTES slices, and the pool
     reads the activation while it is still in cache and writes the block's
     rows of y.  The cache is the three layers' caches, ((x, w), g'(z),
@@ -219,12 +239,9 @@ def conv_block_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, id: Activati
         g, grad = np.empty((2, n, h, wd, k), dtype=dtype)
 
     def run(blocks):
-        z = None
         for blk, col in blocks:
-            rows = col.shape[0]
-            if z is None:  # a run's first block is its largest
-                z = np.empty((rows, k), dtype=dtype)
-            src = _conv_block(col, wmat_t, b, z[:rows]).reshape(-1)
+            z = _scratch("z", (col.shape[0], k), dtype)
+            src = _conv_block(col, wmat_t, b, z).reshape(-1)
             if with_cache:
                 act = g[blk]
                 _chunks(kernel, src, (act.reshape(-1), grad[blk].reshape(-1)))

@@ -1,8 +1,10 @@
 """`tools/bench_pairs.py`'s per-metric verdicts on hand-made pairs of runs."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,3 +46,21 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound(bench_pairs, be
     spec = {"name": "m", "unit": "s", "better": better, "bound": 0.15}
     row = bench_pairs.compare(pairs(parent, change), spec)
     assert row["unresolved"] is unresolved
+
+
+def test_a_run_records_the_minor_faults_of_the_benchmark_process(bench_pairs, tmp_path,
+                                                                   monkeypatch):
+    """rusage holds the RUSAGE_CHILDREN deltas around the run, faults included."""
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    (out / "cnn-osc-seed7-trace0.json").write_text(json.dumps({"manifest": {"seed": 7}}))
+    usage = iter([SimpleNamespace(ru_utime=1.0, ru_stime=0.5, ru_nivcsw=10, ru_minflt=1000),
+                  SimpleNamespace(ru_utime=3.0, ru_stime=1.5, ru_nivcsw=14, ru_minflt=4500)])
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", lambda who: next(usage))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kw: SimpleNamespace(
+        returncode=0, stdout='log\n{"metrics": {}}\n', stderr=""))
+    line = bench_pairs.run_once(tmp_path, "cnn-osc", 7, 1.0, 0)
+    assert line["manifest"] == {"seed": 7}
+    assert line["rusage"]["involuntary_switches"] == 4
+    assert line["rusage"]["minor_faults"] == 3500
+    assert set(line["rusage"]) == set(bench_pairs.RUSAGE)

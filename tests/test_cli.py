@@ -8,7 +8,7 @@ import platform
 import numpy as np
 import pytest
 
-from oscnet import _workers, xorlab
+from oscnet import _workers, cifar, xorlab
 from oscnet.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -253,6 +253,19 @@ class TestBench:
                     "--subset", subset]) == EXIT_CONFIG
         assert "positive" in capsys.readouterr().err
         assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("subset", ["15", "0"])
+    def test_bad_subset_fails_before_any_output_or_read(self, synthetic_archive, tmp_path,
+                                                         monkeypatch, subset):
+        def unread(data_dir):
+            raise AssertionError("the archive was read")
+
+        monkeypatch.setattr(cifar, "load_cifar10", unread)
+        out = tmp_path / "o"
+        assert run(["bench", "--data-dir", synthetic_archive, "--out-dir", out,
+                    "--activations", "relu", "--conv-layers", "1", "--epochs", "1",
+                    "--subset", subset]) == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
     def test_non_finite_or_non_positive_lr_is_a_config_error(self, synthetic_archive, tmp_path,

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -597,6 +598,66 @@ class TestConvBlockForward:
             outputs = y.nbytes + (0 if cache is None else cache[1].nbytes + cache[2][0].nbytes)
             assert peak - outputs <= bound, \
                 f"{id}, cache {with_cache}: {(peak - outputs) / 2**20:.2f} MiB over the outputs"
+
+
+def in_a_fresh_thread(fn):
+    """fn()'s result, computed on a new thread, whose scratch buffers are new."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+class TestScratch:
+    """The conv's per-thread patch and scratch buffers (layers._scratch)
+    outlive each call, and no call sees what an earlier one left in them."""
+
+    def test_alternating_shapes_and_dtypes_on_one_thread(self, monkeypatch):
+        """Conv forwards and backwards take turns between a float64 and a
+        float32 shape on one thread: each result is bitwise the one a fresh
+        thread computes and agrees with the single-GEMM reference.  The
+        second shape's border lies where the first left data in the shared
+        pad buffer, so a call that skipped zeroing it would read that data."""
+        monkeypatch.setattr(_workers, "WORKERS", 1)
+        rng = np.random.default_rng(31)
+        cases = []
+        for shape, k, dtype in (((5, 3, 6, 6), 4, np.float64), ((3, 4, 4, 8), 6, np.float32)):
+            x = (rng.standard_normal(shape) + 3).astype(dtype)
+            w = rng.standard_normal((k, shape[1], 3, 3)).astype(dtype)
+            b = rng.standard_normal(k).astype(dtype)
+            dy = (rng.standard_normal((shape[0], k, *shape[2:])) + 3).astype(dtype)
+            cases.append((x, w, b, dy))
+
+        def conv(x, w, b, dy):
+            y, cache = layers.conv2d_forward(x, w, b)
+            return [a.tobytes() for a in (y, *layers.conv2d_backward(dy, cache))]
+
+        want = [in_a_fresh_thread(lambda: conv(*case)) for case in cases]
+        for case, expected in [*zip(cases, want)] * 3:
+            assert conv(*case) == expected
+            check_conv_against_reference(*case, need_dx=True)
+
+    def test_a_repeated_block_forward_allocates_no_patch_block(self, monkeypatch):
+        """(8,32,32,32) float32 -> 32, relu, one worker: one image's patches,
+        1.18 MB, exceed BLOCK_BYTES, so each block is one image.  A second
+        identical call reuses the first one's buffers: above y and the cache
+        its peak stays under BLOCK_BYTES, so it held no patch block."""
+        monkeypatch.setattr(_workers, "WORKERS", 1)
+        rng = np.random.default_rng(32)
+        x = nhwc(rng.standard_normal((8, 32, 32, 32)).astype(np.float32))
+        w = (rng.standard_normal((32, 32, 3, 3)) / 17).astype(np.float32)
+        b = rng.standard_normal(32).astype(np.float32)
+        assert 32 * 32 * 9 * 32 * 4 > layers.BLOCK_BYTES
+        layers.conv_block_forward(x, w, b, A.RELU)
+        tracemalloc.start()
+        try:
+            y, cache = layers.conv_block_forward(x, w, b, A.RELU)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = y.nbytes + cache[1].nbytes + cache[2][0].nbytes
+        assert peak - outputs < layers.BLOCK_BYTES, f"{(peak - outputs) / 2**20:.2f} MiB"
 
 
 class TestDropout:

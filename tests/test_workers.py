@@ -158,6 +158,43 @@ def test_concurrent_callers_on_more_workers_than_cores(monkeypatch, fresh_pool):
     assert len(got) == 20 and all(g == want for g in got)
 
 
+def test_concurrent_conv_blocks_of_different_shapes(monkeypatch, fresh_pool):
+    """Two threads run conv blocks of different shapes and dtypes at once, on
+    3 workers, each thread and pool thread filling its own scratch buffers:
+    every result is bitwise the one of a sequential call."""
+    monkeypatch.setattr(_workers, "WORKERS", 3)
+    rng = np.random.default_rng(16)
+    cases = []
+    for shape, k, dtype in (((7, 32, 16, 16), 8, np.float32), ((5, 3, 32, 32), 16, np.float64)):
+        cases.append((nhwc(rng.standard_normal(shape).astype(dtype)),
+                      (rng.standard_normal((k, shape[1], 3, 3)) / 9).astype(dtype),
+                      rng.standard_normal(k).astype(dtype)))
+
+    def block(x, w, b):
+        y, (_, grad, (g, _)) = layers.conv_block_forward(x, w, b, A.GCU)
+        return [a.tobytes() for a in (y, g, grad)]
+
+    want = [block(*case) for case in cases]
+    got = {i: [] for i in range(len(cases))}
+
+    def caller(i):
+        for _ in range(5):
+            got[i].append(block(*cases[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got[i] == [want[i]] * 5 for i in got)
+
+
 def conv_block_case(dtype):
     """(x, w, b) for a conv block of 7 images of (32,16,16) -> 8 channels:
     3 patch blocks in float32 (3, 3 and 1 images), 7 in float64, so 2 and 3

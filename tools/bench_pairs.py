@@ -20,8 +20,10 @@ parent's quartile distance over its median exceeds the metric's bound, so
 its runs spread too widely to tell a change within the bound, and not every
 run of the change beats every run of the parent.  Per workload it also
 holds each side's per-pair ``rusage`` of the benchmark process: CPU seconds
-over wall seconds, and involuntary context switches.  A change that runs on
-more cores loses most when a neighbour holds one of them, and these show it.
+over wall seconds, involuntary context switches and minor page faults.  A
+change that runs on more cores loses most when a neighbour holds one of
+them, and the first two show it; the faults show memory the run maps afresh
+instead of reusing, which the whole run (set-up included) adds up.
 ``--claim W:M`` adds ``claimed_gain``: it holds when the change is better in
 at least 9 of 10 pairs and its median beats the parent's by more than the
 parent's quartile distance.  ``--traced W:S,S`` adds traced pairs
@@ -45,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-RUSAGE = ("cpu_per_wall", "involuntary_switches")
+RUSAGE = ("cpu_per_wall", "involuntary_switches", "minor_faults")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -84,8 +86,8 @@ def export(rev: str, dest: Path) -> str:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run: its last stdout line, the manifest it wrote and
-    its rusage: CPU seconds over wall seconds, and involuntary context
-    switches, from the deltas of RUSAGE_CHILDREN around the run."""
+    its rusage: CPU seconds over wall seconds, involuntary context switches
+    and minor page faults, from the deltas of RUSAGE_CHILDREN around the run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
@@ -98,7 +100,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     line["manifest"] = full["manifest"]
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     line["rusage"] = {"cpu_per_wall": round(cpu / wall, 3),
-                      "involuntary_switches": after.ru_nivcsw - before.ru_nivcsw}
+                      "involuntary_switches": after.ru_nivcsw - before.ru_nivcsw,
+                      "minor_faults": after.ru_minflt - before.ru_minflt}
     return line
 
 
