@@ -22,8 +22,8 @@ run of the change beats every run of the parent.  Per workload it also
 holds each side's per-pair ``rusage`` of the benchmark process: CPU seconds
 over wall seconds, involuntary context switches and minor page faults.  A
 change that runs on more cores loses most when a neighbour holds one of
-them, and the first two show it; the faults show memory the run maps afresh
-instead of reusing, which the whole run (set-up included) adds up.
+them, and the first two show it.  The faults count pages the run maps
+afresh instead of reusing, over the whole run, set-up included.
 ``--claim W:M`` adds ``claimed_gain``: it holds when the change is better in
 at least 9 of 10 pairs and its median beats the parent's by more than the
 parent's quartile distance.  ``--traced W:S,S`` adds traced pairs
