@@ -136,16 +136,20 @@ def _sinc_arr(u):
     Returns ``(sinc, near, un)``: ``near`` indexes the entries with
     |u| < _SINC_BAND, whose values ``un`` are replaced by 1 in ``u`` so that
     no quotient divides by zero; the series fills those entries instead.
-    An empty band (most inputs) skips the index writes and the series.
+    An empty band (most inputs) returns ``near = None`` and skips the
+    indexing and the series.
     """
     s = np.abs(u)
-    near = np.nonzero(s < _SINC_BAND)
-    un = u[near]
-    if un.size:
+    near = s < _SINC_BAND
+    if near.any():
+        near = np.nonzero(near)
+        un = u[near]
         u[near] = 1.0
+    else:
+        near = un = None
     np.sin(u, out=s)
     s /= u
-    if un.size:
+    if near is not None:
         s[near] = _series(un * un, _SINC_SERIES)
     return s, near, un
 
@@ -155,7 +159,7 @@ def _dsinc_arr(u, sinc, near, un):
     d = np.cos(u)
     d -= sinc
     d /= u
-    if un.size:
+    if near is not None:
         d[near] = un * _series(un * un, _DSINC_SERIES)
     return d
 

@@ -35,22 +35,35 @@ class ImageDataset:
         return self.images.shape[0]
 
 
+def _rows(buf: bytes, source: str) -> np.ndarray:
+    """``buf`` as (n, RECORD_BYTES) uint8 rows, after checking its size and labels."""
+    if len(buf) % RECORD_BYTES:
+        raise DataFormatError(
+            f"{source}: size {len(buf)} is not a multiple of {RECORD_BYTES}")
+    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, RECORD_BYTES)
+    bad = np.flatnonzero(raw[:, 0] > 9)
+    if bad.size:
+        offset = int(bad[0]) * RECORD_BYTES
+        raise CorruptRecordError(
+            f"{source}: label byte {raw[bad[0], 0]} > 9 at byte offset {offset}", offset)
+    return raw
+
+
+def _decode_into(raw: np.ndarray, images: np.ndarray, labels: np.ndarray) -> None:
+    """Write the rows of ``raw`` into float32 ``images`` and int64 ``labels``."""
+    labels[...] = raw[:, 0]
+    np.divide(raw[:, 1:].reshape(images.shape), np.float32(255.0), out=images)
+
+
 def decode_records(buf: bytes, source: str = "record stream"):
     """Decode a stream of 3073-byte records into (images, labels).
 
     Errors name ``source``; a CorruptRecordError's offset is relative to ``buf``.
     """
-    if len(buf) % RECORD_BYTES:
-        raise DataFormatError(
-            f"{source}: size {len(buf)} is not a multiple of {RECORD_BYTES}")
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, RECORD_BYTES)
-    labels = raw[:, 0].astype(np.int64)
-    bad = np.flatnonzero(labels > 9)
-    if bad.size:
-        offset = int(bad[0]) * RECORD_BYTES
-        raise CorruptRecordError(
-            f"{source}: label byte {labels[bad[0]]} > 9 at byte offset {offset}", offset)
-    images = raw[:, 1:].reshape(-1, *IMAGE_SHAPE).astype(np.float32) / np.float32(255.0)
+    raw = _rows(buf, source)
+    images = np.empty((raw.shape[0], *IMAGE_SHAPE), dtype=np.float32)
+    labels = np.empty(raw.shape[0], dtype=np.int64)
+    _decode_into(raw, images, labels)
     return images, labels
 
 
@@ -92,17 +105,25 @@ def _resolve_dir(path) -> Path:
 
 
 def _load_files(d: Path, names) -> ImageDataset:
-    images, labels = [], []
-    for name in names:
-        f = d / name
+    """Decode each file into its slice of one array sized from the file sizes,
+    so the peak is the outputs plus one file's bytes."""
+    files = [d / name for name in names]
+    for f in files:
         if not f.is_file():
             raise DataFormatError(f"missing dataset file {f}")
-        img, lab = decode_records(f.read_bytes(), str(f))
-        if not lab.size:
+    counts = [f.stat().st_size // RECORD_BYTES for f in files]
+    images = np.empty((sum(counts), *IMAGE_SHAPE), dtype=np.float32)
+    labels = np.empty(sum(counts), dtype=np.int64)
+    start = 0
+    for f, n in zip(files, counts):
+        raw = _rows(f.read_bytes(), str(f))
+        if not raw.shape[0]:
             raise DataFormatError(f"dataset file {f} holds no records")
-        images.append(img)
-        labels.append(lab)
-    return ImageDataset(np.concatenate(images), np.concatenate(labels))
+        if raw.shape[0] != n:
+            raise DataFormatError(f"dataset file {f} changed size while it was read")
+        _decode_into(raw, images[start:start + n], labels[start:start + n])
+        start += n
+    return ImageDataset(images, labels)
 
 
 def load_cifar10(data_dir):

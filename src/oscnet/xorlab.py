@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ActivationId, apply, apply_with_grad, descriptor, evaluate
+from .activations import ActivationId, _kernel, apply, descriptor, evaluate
 from .errors import ConfigError, require_positive
 from .properties import DEFAULT_SCAN, Interval, sign_with_tol, zero_crossings
 
@@ -45,7 +45,12 @@ BOUNDARY_AXIS = np.linspace(-2.0, 2.0, 101)
 _XOR_INPUTS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
 _XOR_LABELS = (-1.0, 1.0, 1.0, -1.0)
 _X, _Y = np.array(_XOR_INPUTS), np.array(_XOR_LABELS)
-_XA = np.vstack([_X.T, np.ones(4)])  # theta @ _XA = w1*x1 + w2*x2 + b at the four points
+_XT = _X.T
+_XA = np.vstack([_XT, np.ones(4)])  # theta @ _XA = w1*x1 + w2*x2 + b at the four points
+
+# Training keeps 5 float64 per (epoch, restart), its loss and the four-point
+# err, so 2**24 of them hold 640 MiB; a longer or wider run is refused.
+MAX_TRAIN_ROWS = 2 ** 24
 
 # Training compares its parameters with those of two epochs back once per this
 # many epochs; a repeat found up to this many epochs late costs only those epochs.
@@ -189,6 +194,10 @@ class TrainSpec:
             require_positive(f"TrainSpec.{name}", getattr(self, name))
         if self.seed < 0:
             raise ConfigError(f"TrainSpec.seed must be >= 0, got {self.seed}")
+        if self.epochs * self.restarts > MAX_TRAIN_ROWS:
+            raise ConfigError(f"training keeps {self.epochs * self.restarts:,} (epoch, restart) rows "
+                              f"for --epochs {self.epochs:,} and --restarts {self.restarts:,}, "
+                              f"over the limit of {MAX_TRAIN_ROWS:,}")
 
 
 def _repeats(theta, before, earlier) -> bool:
@@ -215,29 +224,39 @@ def train_single_neuron(id: ActivationId, spec: TrainSpec = TrainSpec()):
     _REPEAT_CHECK_EVERY epochs).  Then restarts are taken in order until one
     gives a valid certificate; one whose parameters went non-finite (they
     never turn finite) is skipped.
+    The kernel is looked up once and every epoch writes into arrays made once,
+    in the order of the plain expressions; each epoch's err is kept, and the
+    losses are one vecdot after the loop.
     Returns (best certificate found, loss trace of that restart).
     """
     id = ActivationId(id)
+    kernel = _kernel(id)
     theta = np.array([np.random.default_rng(spec.seed + r).uniform(-spec.init_scale, spec.init_scale, size=3)
                       for r in range(spec.restarts)])
-    losses = np.empty((spec.epochs, spec.restarts))
-    grad = np.empty_like(theta)
+    after, earlier, step, grad = (np.empty_like(theta) for _ in range(4))
+    errs = np.empty((spec.epochs, spec.restarts, 4))
+    z, gz = np.empty_like(errs[0]), np.empty_like(errs[0])
+    gz_rows, grad_w, grad_b, lr = gz[:, None, :], grad[:, :2], grad[:, 2], spec.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):  # diverged rows are skipped below
         for epoch in range(spec.epochs):
-            a, da = apply_with_grad(id, theta @ _XA)
-            err = a - _Y
-            losses[epoch] = np.vecdot(err, err)
-            gz = 2.0 * err * da
-            np.vecdot(gz[:, None, :], _X.T, out=grad[:, :2])
-            gz.sum(axis=1, out=grad[:, 2])
-            after = theta - spec.learning_rate * grad
+            run = kernel(np.matmul(theta, _XA, out=z))
+            err = np.subtract(next(run), _Y, out=errs[epoch])
+            np.multiply(2.0, err, out=gz)
+            gz *= next(run)
+            np.vecdot(gz_rows, _XT, out=grad_w)
+            np.add.reduce(gz, axis=1, out=grad_b)  # gz.sum without its Python wrapper
+            np.subtract(theta, np.multiply(lr, grad, out=step), out=after)
             if epoch % _REPEAT_CHECK_EVERY == _REPEAT_CHECK_EVERY - 1 and _repeats(after, theta, earlier):
-                losses[epoch + 1::2] = losses[epoch - 1]
-                losses[epoch + 2::2] = losses[epoch]
                 if (spec.epochs - 1 - epoch) % 2 == 0:
                     theta = after
                 break
-            earlier, theta = theta, after
+            earlier, theta, after = theta, after, earlier
+        done = epoch + 1
+        losses = np.empty((spec.epochs, spec.restarts))
+        np.vecdot(errs[:done], errs[:done], out=losses[:done])
+    if done < spec.epochs:  # stopped at a repeat: the rest follows its period
+        losses[done::2] = losses[done - 2]
+        losses[done + 1::2] = losses[done - 1]
 
     best, best_trace = None, []
     for restart in range(spec.restarts):
@@ -261,12 +280,15 @@ def decision_boundary_grid(neuron: SingleNeuron) -> np.ndarray:
 
 
 def write_boundary_csv(path, neuron: SingleNeuron) -> None:
+    """Rows "x1,x2,sign", x1-major.  Each row is x1 then one of the three
+    ",x2,sign\n" tails of its column, so a block of rows is one join."""
     grid = decision_boundary_grid(neuron)
     axis = [repr(v) for v in BOUNDARY_AXIS.tolist()]
+    tails = [tuple(f",{c},{s}\n" for s in (-1, 0, 1)) for c in axis]
     with open(path, "w") as fh:
         fh.write("x1,x2,sign\n")
-        for a, signs in zip(axis, grid.tolist()):
-            fh.write("".join(f"{a},{c},{s}\n" for c, s in zip(axis, signs)))
+        for a, signs in zip(axis, (grid + 1).tolist()):  # sign s picks tail s + 1
+            fh.write(a + a.join([t[s] for t, s in zip(tails, signs)]))
 
 
 def certificate_to_dict(cert: XorCertificate, source: str) -> dict:

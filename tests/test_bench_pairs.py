@@ -64,3 +64,37 @@ def test_a_run_records_the_minor_faults_of_the_benchmark_process(bench_pairs, tm
     assert line["rusage"]["involuntary_switches"] == 4
     assert line["rusage"]["minor_faults"] == 3500
     assert set(line["rusage"]) == set(bench_pairs.RUSAGE)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--claim", "catalog-xor:train_item_per_s"],  # misspelt metric
+    ["--claim", "catalog:train_items_per_s"],  # misspelt workload
+    ["--claim", "catalog-xor"],
+    ["--traced", "cnn-os:21,22"],
+    ["--traced", "cnn-osc:21;22"],
+    ["--traced", "cnn-osc"],
+], ids=["claim-metric", "claim-workload", "claim-no-metric", "traced-workload",
+        "traced-seeds", "traced-no-seeds"])
+def test_a_bad_name_exits_2_before_any_export_or_run(bench_pairs, monkeypatch, tmp_path, flags):
+    def never(*args, **kwargs):
+        raise AssertionError("called before the flags were checked")
+
+    monkeypatch.setattr(bench_pairs, "export", never)
+    monkeypatch.setattr(bench_pairs, "run_pairs", never)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", "HEAD", "--seeds", "1-2", "--out", str(tmp_path / "o.json")]
+                         + flags)
+    assert exit_.value.code == 2
+
+
+def test_good_names_reach_the_export(bench_pairs, monkeypatch, tmp_path):
+    class Exported(Exception):
+        pass
+
+    def export(rev, dest):
+        raise Exported
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    with pytest.raises(Exported):
+        bench_pairs.main(["--parent", "HEAD", "--seeds", "1-2", "--out", str(tmp_path / "o.json"),
+                          "--claim", "catalog-xor:train_items_per_s", "--traced", "cnn-osc:21,22"])

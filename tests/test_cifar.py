@@ -1,5 +1,8 @@
 """Binary codec, synthetic records, stratified subsets, real archive (if any)."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +170,30 @@ class TestLoader:
         assert big.stat().st_size == 30_730_000
         _, test = load_cifar10(synthetic_archive)
         assert len(test) == 10000
+
+
+    def test_peak_memory_is_about_the_outputs(self, tmp_path):
+        """Each file is decoded into its slice of the outputs, so loading never
+        holds a second copy of the train images (concatenating did: 1.66x)."""
+        from conftest import build_synthetic_archive
+        archive = build_synthetic_archive(tmp_path / "data", per_train=200, test_n=200)
+        tracemalloc.start()
+        try:
+            train, test = load_cifar10(archive)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for ds in (train, test) for a in (ds.images, ds.labels))
+        assert peak < 1.3 * outputs
+
+
+    def test_a_file_that_changes_size_while_read_is_a_format_error(self, synthetic_archive,
+                                                                   monkeypatch):
+        read = Path.read_bytes
+        extra = synthetic_check_image("constant", 1)
+        monkeypatch.setattr(Path, "read_bytes", lambda f: read(f) + extra * (f.name == "data_batch_2.bin"))
+        with pytest.raises(DataFormatError, match="data_batch_2.bin changed size"):
+            load_cifar10(synthetic_archive)
 
 
 class TestStratifiedSubset:

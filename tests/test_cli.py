@@ -89,6 +89,21 @@ class TestXor:
                    + flags) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "1000000000000"],
+        ["--restarts", "1000000000000"],
+        ["--epochs", "4097", "--restarts", "4096"],  # one epoch over 2**24 rows
+    ], ids=["epochs", "restarts", "product"])
+    def test_oversized_training_is_a_config_error_before_any_seeding(self, tmp_path, capsys,
+                                                                     monkeypatch, flags):
+        def no_seeding(*args, **kwargs):
+            raise AssertionError("a restart was seeded")
+
+        monkeypatch.setattr(np.random, "default_rng", no_seeding)
+        assert run(["xor", "tanh", "--out-dir", tmp_path] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "--epochs" in err and "--restarts" in err
+
     def test_unknown_activation_is_a_config_error(self, tmp_path, capsys):
         assert run(["xor", "sigmoid_sine", "--out-dir", tmp_path]) == EXIT_CONFIG
         assert "unknown activation" in capsys.readouterr().err
@@ -156,6 +171,21 @@ class TestXor:
         assert run(["xor", ident, "--out-dir", tmp_path]) == code
         digest = lambda name: hashlib.sha256((tmp_path / f"xor_{ident}_{name}").read_bytes()).hexdigest()
         assert (digest("certificate.json"), digest("boundary.csv")) == (certificate, boundary)
+
+
+    @pytest.mark.skipif(np.__version__ != "2.4.6",
+                        reason="digests were recorded with numpy 2.4.6 on x86-64")
+    def test_every_id_at_the_defaults_matches_the_recorded_digest(self, tmp_path):
+        """One sha256 over the certificate and boundary files of all 27 ids, in
+        catalog order, as recorded before the trainer kept its buffers."""
+        h, codes = hashlib.sha256(), []
+        for ident in (a.value for a in all_ids()):
+            codes.append(run(["xor", ident, "--out-dir", tmp_path]))
+            for name in ("certificate.json", "boundary.csv"):
+                h.update((tmp_path / f"xor_{ident}_{name}").read_bytes())
+        assert [a.value for a, code in zip(all_ids(), codes) if code == EXIT_OK] == \
+            ["sine", "squ", "ncu", "z_sq_cos", "ssu", "gcu", "dsu"]
+        assert h.hexdigest() == "8dc86e6acdcf6b863750635ed45e93a467a820386b5cfd5c1ea06266d51c0844"
 
 
 class TestBench:

@@ -65,8 +65,9 @@ def sequential_reference(id, spec):
 def record_kernel_calls(monkeypatch):
     """A list that gets the input shape of each training kernel call."""
     calls = []
-    fused = xorlab.apply_with_grad
-    monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: calls.append(z.shape) or fused(i, z))
+    lookup = xorlab._kernel
+    monkeypatch.setattr(xorlab, "_kernel",
+                        lambda i: lambda z: calls.append(z.shape) or lookup(i)(z))
     return calls
 
 
@@ -357,16 +358,14 @@ class TestTraining:
     def test_fused_kernel_matches_separate_calls(self, monkeypatch, id, spec):
         """Certificate and loss trace equal those of separate g and g' calls, bit for bit."""
         cert, trace = train_single_neuron(id, spec)
-        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: (apply(i, z), apply_grad(i, z)))
+        monkeypatch.setattr(xorlab, "_kernel", lambda i: lambda z: iter((apply(i, z), apply_grad(i, z))))
         ref_cert, ref_trace = train_single_neuron(id, spec)
         assert cert == ref_cert
         assert np.array_equal(trace, ref_trace)
 
     def test_one_kernel_call_per_epoch(self, monkeypatch):
         """All restarts share at most one kernel call per epoch, one row per restart."""
-        shapes = []
-        fused = xorlab.apply_with_grad
-        monkeypatch.setattr(xorlab, "apply_with_grad", lambda i, z: shapes.append(z.shape) or fused(i, z))
+        shapes = record_kernel_calls(monkeypatch)
         monkeypatch.setattr(xorlab, "apply", lambda i, z: pytest.fail("apply called in training"))
         _, trace = train_single_neuron(A.GCU, TrainSpec(restarts=5, epochs=50))
         assert len(shapes) == len(trace) == 50

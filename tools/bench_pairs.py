@@ -58,7 +58,9 @@ def parse_seeds(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def parse_args(argv):
+def parse_args(argv, bench: dict):
+    """The flags, with --claim as (workload, metric) and --traced as (workload,
+    seeds); a name that ``bench`` (BENCHMARK.json) lacks exits 2 before any run."""
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--parent", required=True, help="git revision of the baseline")
@@ -69,7 +71,26 @@ def parse_args(argv):
     p.add_argument("--traced", help="WORKLOAD:SEEDS for traced pairs, e.g. cnn-osc:21,22")
     p.add_argument("--note", default="", help="one line saying what the change is")
     p.add_argument("--workdir", type=Path, help="where the two exports go (default: a temp dir)")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    if args.claim:
+        w, _, m = args.claim.partition(":")
+        if w not in workloads or m not in metrics:
+            p.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC with a workload of "
+                    f"{workloads} and an end-to-end metric of {metrics}")
+        args.claim = (w, m)
+    if args.traced:
+        w, _, seeds = args.traced.partition(":")
+        try:
+            seeds = parse_seeds(seeds)
+        except ValueError:
+            seeds = None
+        if w not in workloads or not seeds:
+            p.error(f"--traced {args.traced!r} is not WORKLOAD:SEEDS with a workload of "
+                    f"{workloads} and seeds like 21,22 or 21-22")
+        args.traced = (w, seeds)
+    return args
 
 
 def export(rev: str, dest: Path) -> str:
@@ -168,8 +189,8 @@ def per_gflop(metrics: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, bench)
     seconds = bench["run_seconds"]
     work = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     revs = {"parent": args.parent, "change": args.change}
@@ -200,14 +221,13 @@ def main(argv=None) -> int:
             "rusage": {s: {k: [p[s]["rusage"][k] for p in pairs] for k in RUSAGE} for s in SIDES},
         }
     if args.claim:
-        w, m = args.claim.split(":")
+        w, m = args.claim
         out["claimed_gain"] = claimed_gain(w, m, workloads[w]["metrics"][m], len(args.seeds))
     out["manifest"] = {k: manifest[k] for k in ("python", "numpy", "blas", "blas_threads",
                                                 "nproc", "machine", "seconds")}
     out["workloads"] = workloads
     if args.traced:
-        w, seeds = args.traced.split(":")
-        seeds = parse_seeds(seeds)
+        w, seeds = args.traced
         runs = []
         for seed, pair in zip(seeds, run_pairs(trees, w, seeds, seconds, 1)):
             run = {"seed": seed}
