@@ -73,9 +73,9 @@ def _write_json(path: Path, payload) -> None:
 def cmd_properties(args) -> int:
     out = _out_dir(args.out_dir)
     rows = properties.verify_catalog()
-    _write_json(out / "properties.json", properties.report_payload(rows))
+    _write_json(out / "properties.json", rows)
     properties.write_report_csv(rows, out / "properties.csv")
-    failures = [(r.id.value, c) for r in rows for c in r.contradictions]
+    failures = [(r["id"], c) for r in rows for c in r["contradictions"]]
     for ident, prop in failures:
         print(f"contradiction: {ident}: {prop}", file=sys.stderr)
     print(f"properties: {len(rows)} activations checked, "

@@ -84,6 +84,14 @@ class ZeroCrossingReport:
         return len(self.brackets)
 
 
+def _sign_changes(signs: np.ndarray) -> list:
+    """(before, after) indices of each sign change in ``signs`` (-1, 0 or 1):
+    the nonzero entries on either side of it, so zero runs are skipped."""
+    nonzero = np.flatnonzero(signs)
+    flips = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
+    return list(zip(nonzero[flips], nonzero[flips + 1]))
+
+
 def zero_crossings(id: ActivationId) -> ZeroCrossingReport:
     """Locate sign changes of g on DEFAULT_SCAN.
 
@@ -94,9 +102,7 @@ def zero_crossings(id: ActivationId) -> ZeroCrossingReport:
     """
     grid = DEFAULT_SCAN.grid()
     signs = sign_with_tol(apply(id, grid))
-    nonzero = np.flatnonzero(signs)
-    flips = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
-    brackets = tuple((float(grid[nonzero[i]]), float(grid[nonzero[i + 1]])) for i in flips)
+    brackets = tuple((float(grid[i]), float(grid[j])) for i, j in _sign_changes(signs))
     exact = tuple(float(z) for z in grid[signs == 0])
     return ZeroCrossingReport(id, brackets, exact)
 
@@ -275,14 +281,6 @@ EXPECTED_CROSSINGS = {
 }
 
 
-@dataclass(frozen=True)
-class PropertyRow:
-    id: ActivationId
-    descriptor_fields: dict
-    measured: dict
-    contradictions: tuple
-
-
 def _range_to_json(r) -> dict:
     def enc(x):
         if x == math.inf:
@@ -294,35 +292,27 @@ def _range_to_json(r) -> dict:
             "lo_closed": r.lo_closed, "hi_closed": r.hi_closed}
 
 
-def verify_activation(id: ActivationId) -> PropertyRow:
-    """Run every scan for one id and diff the results against its descriptor."""
+def verify_activation(id: ActivationId) -> dict:
+    """Run every scan for one id and diff the results against its descriptor;
+    the result is the id's row of ``properties.json``."""
     id = ActivationId(id)
     d = descriptor(id)
-    contradictions = []
-
     cont = continuity_scan(id)
-    if cont.continuous != d.continuous:
-        contradictions.append("continuity")
-
     mono = monotonicity_scan(id)
-    if mono.nondecreasing != d.monotonic:
-        contradictions.append("monotonicity")
-
     rng = range_scan(id)
-    if not rng.passed:
-        contradictions.append("range")
-
     sign_eq = sign_equivalence_scan(id)
-    if sign_eq.equivalent != d.sign_equivalent_identity:
-        contradictions.append("sign_equivalence")
-
     zc = zero_crossings(id)
-    if id in EXPECTED_CROSSINGS and zc.count != EXPECTED_CROSSINGS[id]:
-        contradictions.append("zero_crossings")
-
     grad = gradient_check(id)
-    if not grad.passed:
-        contradictions.append("gradient")
+    sv = small_value_check(id) if d.small_value is not None else None
+    agrees = {  # scan -> whether it agrees with the descriptor, in scan order
+        "continuity": cont.continuous == d.continuous,
+        "monotonicity": mono.nondecreasing == d.monotonic,
+        "range": rng.passed,
+        "sign_equivalence": sign_eq.equivalent == d.sign_equivalent_identity,
+        "zero_crossings": id not in EXPECTED_CROSSINGS or zc.count == EXPECTED_CROSSINGS[id],
+        "gradient": grad.passed,
+        "small_value": sv is None or sv.passed,
+    }
 
     measured = {
         "continuous": cont.continuous,
@@ -333,11 +323,8 @@ def verify_activation(id: ActivationId) -> PropertyRow:
         "sign_equivalent_identity": sign_eq.equivalent,
         "gradient_max_rel_error": grad.max_rel_error,
     }
-    if d.small_value is not None:
-        sv = small_value_check(id)
+    if sv is not None:
         measured["small_value"] = sv.measured
-        if not sv.passed:
-            contradictions.append("small_value")
 
     fields = {
         "params": dict(d.params),
@@ -352,20 +339,12 @@ def verify_activation(id: ActivationId) -> PropertyRow:
         "sign_equivalent_identity": d.sign_equivalent_identity,
         "xor_property": d.xor_property,
     }
-    return PropertyRow(id, fields, measured, tuple(contradictions))
+    return {"id": id.value, "descriptor": fields, "measured": measured,
+            "contradictions": [scan for scan, ok in agrees.items() if not ok]}
 
 
-def verify_catalog() -> list[PropertyRow]:
+def verify_catalog() -> list[dict]:
     return [verify_activation(i) for i in all_ids()]
-
-
-def report_payload(rows: list[PropertyRow]) -> list[dict]:
-    """The rows as `properties.json` lists them."""
-    return [
-        {"id": r.id.value, "descriptor": r.descriptor_fields,
-         "measured": r.measured, "contradictions": list(r.contradictions)}
-        for r in rows
-    ]
 
 
 _CSV_COLUMNS = [
@@ -377,18 +356,18 @@ _CSV_COLUMNS = [
 ]
 
 
-def write_report_csv(rows: list[PropertyRow], path) -> None:
+def write_report_csv(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_COLUMNS)
         for r in rows:
-            d, m = r.descriptor_fields, r.measured
+            d, m = r["descriptor"], r["measured"]
             sv = d["small_value"] or (None, None)
             w.writerow([
-                r.id.value, d["continuous"], d["monotonic"],
+                r["id"], d["continuous"], d["monotonic"],
                 d["range"]["lo"], d["range"]["hi"], sv[0], sv[1],
                 d["hyperplane_count"], d["sign_equivalent_identity"], d["xor_property"],
                 m["continuous"], m["monotonic"], m["min"], m["max"],
                 m["zero_crossings"], m["sign_equivalent_identity"],
-                m["gradient_max_rel_error"], ";".join(r.contradictions),
+                m["gradient_max_rel_error"], ";".join(r["contradictions"]),
             ])

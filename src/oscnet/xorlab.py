@@ -9,9 +9,9 @@ XOR is decided exactly, not searched: ``xor_ruled_out`` reads the catalog
 fields that leave g at most one sign change, and then no (w, b) certifies XOR;
 otherwise ``xor_witness`` builds one from g's first two sign changes.  The
 exhaustive grid search over (w1, w2, b) stays as a test oracle.  It scores
-every triple, but evaluates g only once per distinct pre-activation.  Reduction
-order is deterministic: maximal correct count first, then larger minimum
-|margin|, then the lexicographically first grid triple.
+every triple, one w1 slab at a time, by the same float adds as a direct
+evaluation.  Reduction order is deterministic: maximal correct count first,
+then larger minimum |margin|, then the lexicographically first grid triple.
 
 Training is gradient descent, a deterministic map of the parameters: all
 restarts share one kernel call per epoch until the parameters repeat bit for
@@ -35,8 +35,9 @@ MARGIN_TOL = 1e-6
 GRID_BOUND = 5.0
 GRID_RESOLUTION = 0.1
 
-# The grid search holds about 19 bytes per (w1, w2, b) triple, so 2**25
-# triples (322 points per axis) peak near 640 MB; a finer grid is refused.
+# The grid search holds about 12 bytes per (w1, w2, b) triple (an int8 count,
+# a float64 margin and the winner's candidates), so 2**25 triples (322 points
+# per axis) peak near 400 MB; a finer grid is refused.
 MAX_GRID_TRIPLES = 2 ** 25
 
 # The decision-boundary CSV samples sign(g) on this axis for x1 and for x2.
@@ -150,30 +151,22 @@ def grid_search_certificate(id: ActivationId, bound: float = GRID_BOUND,
     window, or one of over MAX_GRID_TRIPLES triples, raises ConfigError before
     any grid is built.
 
-    Every pre-activation is (w1*x1 + w2*x2) + b with x1, x2 = +-1, so g is
-    tabulated once on the distinct sums w1*x1 + w2*x2 (905 of the 40 804
-    at the defaults) plus each b, and each point's scores are gathered
-    from that table; z is computed by the same two float adds as a direct
-    evaluation.  ``np.unique`` merges -0.0 with +0.0, so a zero sum may come
-    back as the other zero.  That changes z only where b is zero as well, and
-    then only the sign of z = 0 (and of g(0) for an odd g): y*(+-0) <=
-    MARGIN_TOL and |+-0| = 0 score such a point the same either way.
+    Each w1 slab takes one kernel call per XOR point, on z[j, k] for w2 =
+    axis[j] and b = axis[k], computed by the two float adds of a direct
+    evaluation, (w1*x1 + w2*x2) + b, in the same order.
     """
     window = Interval(-bound, bound, resolution)
     if window.size ** 3 > MAX_GRID_TRIPLES:
         raise ConfigError(f"XOR grid [-{bound}, {bound}] at step {resolution} has {window.size:,} "
                           f"points per axis, over the limit of {MAX_GRID_TRIPLES:,} triples")
     axis = window.grid()
-    sums = np.stack([axis[:, None] * x1 + axis * x2 for x1, x2 in _XOR_INPUTS])
-    distinct, rows = np.unique(sums, return_inverse=True)
-    table = apply(id, distinct[:, None] + axis)  # table[u, k] = g(distinct[u] + axis[k])
-    abs_table, rows = np.abs(table), rows.reshape(sums.shape)
-
     correct = np.zeros((axis.size,) * 3, dtype=np.int8)
     min_abs = np.full(correct.shape, np.inf)
-    for point_rows, y in zip(rows, _XOR_LABELS):  # cube[i, j, k] = table[point_rows[i, j], k]
-        correct += _point_correct(y, table)[point_rows]
-        np.minimum(min_abs, abs_table[point_rows], out=min_abs)
+    for w1, slab_correct, slab_min_abs in zip(axis, correct, min_abs):
+        for (x1, x2), y in zip(_XOR_INPUTS, _XOR_LABELS):
+            m = apply(id, w1 * x1 + axis[:, None] * x2 + axis)
+            slab_correct += _point_correct(y, m)
+            np.minimum(slab_min_abs, np.abs(m), out=slab_min_abs)
 
     candidates = np.flatnonzero(correct == correct.max())
     winner = candidates[np.argmax(min_abs.ravel()[candidates])]

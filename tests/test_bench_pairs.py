@@ -98,3 +98,40 @@ def test_good_names_reach_the_export(bench_pairs, monkeypatch, tmp_path):
     with pytest.raises(Exported):
         bench_pairs.main(["--parent", "HEAD", "--seeds", "1-2", "--out", str(tmp_path / "o.json"),
                           "--claim", "catalog-xor:train_items_per_s", "--traced", "cnn-osc:21,22"])
+
+
+def test_the_end_of_a_run_lists_each_metric_outside_its_bound_or_unresolved(
+        bench_pairs, monkeypatch, tmp_path, capsys):
+    """Hand-made pairs: catalog-xor setup_s reads 39 % worse, and the parent's
+    cnn-osc step_ms_p90 spreads wider than its bound; every other metric is
+    the same on both sides."""
+    bench = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    manifest = dict.fromkeys(("python", "numpy", "blas", "blas_threads", "nproc", "machine",
+                              "seconds"), "x")
+
+    def side(workload, i, role):
+        metrics = {m["name"]: {"value": 10.0} for m in bench["end_to_end"]}
+        if workload == "catalog-xor":
+            metrics["setup_s"]["value"] = 0.033 if role == "parent" else 0.046
+        if workload == "cnn-osc":
+            metrics["step_ms_p90"]["value"] = (10, 40, 40, 70)[i] if role == "parent" else 41.0
+        return {"metrics": metrics, "attempted": 1, "failed": 0, "correct": True,
+                "rusage": dict.fromkeys(bench_pairs.RUSAGE, 0), "manifest": manifest}
+
+    def run_pairs(trees, workload, seeds, seconds, trace):
+        return [{role: side(workload, i, role) for role in bench_pairs.SIDES}
+                for i in range(len(seeds))]
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(bench_pairs, "run_pairs", run_pairs)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    out = tmp_path / "o.json"
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--seeds", "1-4",
+                             "--out", str(out), "--workdir", str(tmp_path / "w")]) == 0
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "cnn-osc step_ms_p90: unresolved, change_worse_by 0.025 (bound 0.25), "
+        "change better in 1 of 4 pairs",
+        "catalog-xor setup_s: outside its bound, change_worse_by 0.3939 (bound 0.25), "
+        "change better in 0 of 4 pairs",
+    ]
+    assert json.loads(out.read_text())["manifest"]["PYTHONDONTWRITEBYTECODE"] == "1"

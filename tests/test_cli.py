@@ -4,16 +4,18 @@ import csv
 import hashlib
 import json
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oscnet import _workers, cifar, xorlab
+from oscnet import _workers, cifar, properties, xorlab
 from oscnet.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_OK,
+    EXIT_PROPERTY,
     EXIT_XOR,
     main,
 )
@@ -38,6 +40,35 @@ class TestProperties:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 27
         assert {r["id"] for r in rows} == {row["id"] for row in payload}
+
+    def test_contradictions_exit_4_and_are_named_in_scan_order(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """Two scans that disagree with tanh's catalog entry: each is named on
+        stderr, in tanh's JSON list and in its CSV column, in the order the
+        scans run."""
+        range_scan, monotonicity_scan = properties.range_scan, properties.monotonicity_scan
+
+        def bad_range(id):
+            report = range_scan(id)
+            return replace(report, within_range=False) if id == "tanh" else report
+
+        def bad_monotonicity(id):
+            report = monotonicity_scan(id)
+            return replace(report, nondecreasing=False) if id == "tanh" else report
+
+        monkeypatch.setattr(properties, "range_scan", bad_range)
+        monkeypatch.setattr(properties, "monotonicity_scan", bad_monotonicity)
+        assert run(["properties", "--out-dir", tmp_path]) == EXIT_PROPERTY
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("contradiction:")] == [
+            "contradiction: tanh: monotonicity", "contradiction: tanh: range"]
+        payload = json.loads((tmp_path / "properties.json").read_text())
+        assert {row["id"]: row["contradictions"] for row in payload if row["contradictions"]} == {
+            "tanh": ["monotonicity", "range"]}
+        with open(tmp_path / "properties.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["id"]: r["contradictions"] for r in rows if r["contradictions"]} == {
+            "tanh": "monotonicity;range"}
 
     def test_byte_identical_reruns(self, tmp_path):
         run(["properties", "--out-dir", tmp_path / "a"])

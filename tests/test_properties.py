@@ -265,11 +265,11 @@ class TestContinuity:
 class TestCatalogReport:
     def test_no_contradictions(self):
         rows = verify_catalog()
-        bad = [(r.id.value, r.contradictions) for r in rows if r.contradictions]
+        bad = [(r["id"], r["contradictions"]) for r in rows if r["contradictions"]]
         assert bad == []
 
     def test_report_shape(self):
         rows = [verify_activation(A.SQU), verify_activation(A.GCU)]
-        assert [r.id for r in rows] == [A.SQU, A.GCU]
-        assert rows[0].measured["zero_crossings"] == 2
-        assert rows[0].descriptor_fields["xor_property"] is True
+        assert [r["id"] for r in rows] == ["squ", "gcu"]
+        assert rows[0]["measured"]["zero_crossings"] == 2
+        assert rows[0]["descriptor"]["xor_property"] is True

@@ -1,6 +1,7 @@
 """Single-neuron XOR: dataset, certification oracle, training, boundaries."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from oscnet import xorlab
 from oscnet.activations import ActivationId, apply, apply_grad, apply_with_grad, descriptor
 from oscnet.cli import _write_json
 from oscnet.errors import ConfigError
-from oscnet.properties import DEFAULT_SCAN, Interval, sign_with_tol
+from oscnet.properties import DEFAULT_SCAN, Interval, _sign_changes, sign_with_tol
 from oscnet.xorlab import (
     SingleNeuron,
     TrainSpec,
@@ -155,14 +156,12 @@ class TestWitness:
 
 
 def derivative_sign_changes(id):
-    """The sign changes of g' on DEFAULT_SCAN, found as `zero_crossings`
-    finds those of g: (lo, hi, g' rises) per bracket; g' rises through a
-    local minimum of g and falls through a local maximum."""
+    """The sign changes of g' on DEFAULT_SCAN, found by the scan that
+    `zero_crossings` runs on g: (lo, hi, g' rises) per bracket; g' rises
+    through a local minimum of g and falls through a local maximum."""
     grid = DEFAULT_SCAN.grid()
     signs = sign_with_tol(apply_grad(id, grid))
-    nonzero = np.flatnonzero(signs)
-    flips = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
-    return [(grid[nonzero[i]], grid[nonzero[i + 1]], signs[nonzero[i]] < 0) for i in flips]
+    return [(grid[i], grid[j], signs[i] < 0) for i, j in _sign_changes(signs)]
 
 
 class TestReadoutRule:
@@ -294,30 +293,18 @@ class TestGridSearch:
     def test_matches_the_reference_on_other_windows(self, id, bound, resolution):
         assert grid_search_certificate(id, bound, resolution) == reference_grid_search(id, bound, resolution)
 
-    @pytest.mark.parametrize("bound,resolution,shape", [
-        (5.0, 0.1, (905, 101)),  # 905 distinct of the 4 * 101**2 = 40 804 sums
-        (7.3, 0.13, (1373, 113)),
-        (0.3, 0.2, (15, 4)),
-    ])
-    def test_one_kernel_call_on_the_distinct_sums(self, monkeypatch, bound, resolution, shape):
-        """g is evaluated once per search, on (distinct sums w1*x1 + w2*x2) x n pre-activations."""
-        shapes = []
-        kernel = xorlab.apply
-        monkeypatch.setattr(xorlab, "apply", lambda i, z: shapes.append(z.shape) or kernel(i, z))
-        grid_search_certificate(A.GCU, bound, resolution)
-        assert shapes == [shape]
-
-    @pytest.mark.parametrize("id", [A.IDENTITY, A.TANH], ids=str)
-    def test_merged_signed_zero_changes_nothing(self, id):
-        """np.unique merges the -0.0 sum (w1 = w2 = 0 at x = (-1, -1)) with +0.0;
-        for an odd, sign-preserving g a zero margin then scores the same."""
-        axis = Interval(-1.0, 1.0, 0.1).grid()
-        sums = np.stack([axis[:, None] * x1 + axis * x2 for x1, x2 in xorlab._XOR_INPUTS])
-        zeros = sums[sums == 0]
-        assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # both -0.0 and +0.0 occur
-        for y in (-1.0, 1.0):
-            assert xorlab._point_correct(y, apply(id, np.array([-0.0, 0.0]))).tolist() == [False, False]
-        assert grid_search_certificate(id, 1.0, 0.1) == reference_grid_search(id, 1.0, 0.1)
+    @pytest.mark.parametrize("id", [A.GELU, A.DSU], ids=str)
+    def test_peak_memory_per_triple(self, id):
+        """The int8 count and float64 margin cubes, plus the winner's
+        candidates, stay under 14 bytes per triple at the default grid
+        (101 points per axis), as the MAX_GRID_TRIPLES comment assumes."""
+        tracemalloc.start()
+        try:
+            grid_search_certificate(id)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 101 ** 3
 
 
 class TestTraining:

@@ -28,13 +28,19 @@ afresh instead of reusing, over the whole run, set-up included.
 at least 9 of 10 pairs and its median beats the parent's by more than the
 parent's quartile distance.  ``--traced W:S,S`` adds traced pairs
 (``--trace 1``) with the per-layer metrics and, for each seconds metric,
-milliseconds per conv GFLOP.
+milliseconds per conv GFLOP.  The manifest records ``PYTHONDONTWRITEBYTECODE``
+as the runs inherit it: when it is set, every fresh import compiles the
+sources, so ``setup_s`` includes compile time.
+
+At the end, stderr lists every (workload, metric) that is outside its bound
+or unresolved, with ``change_worse_by`` and the pairs the change won.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -181,6 +187,20 @@ def claimed_gain(workload: str, metric: str, row: dict, pairs: int) -> dict:
     }
 
 
+def flagged(workloads: dict, pairs: int) -> list[str]:
+    """One line per (workload, metric) that is outside its bound or unresolved."""
+    lines = []
+    for workload, row in workloads.items():
+        for metric, v in row["metrics"].items():
+            why = [w for w, bad in (("outside its bound", not v["within_bound"]),
+                                    ("unresolved", v["unresolved"])) if bad]
+            if why:
+                lines.append(f"{workload} {metric}: {' and '.join(why)}, change_worse_by "
+                             f"{v['change_worse_by']} (bound {v['bound']}), change better in "
+                             f"{v['change_better_in_pairs']} of {pairs} pairs")
+    return lines
+
+
 def per_gflop(metrics: dict) -> dict:
     """Milliseconds per conv GFLOP for every seconds metric of a traced run."""
     gflop = metrics["layers.conv.gflop"]["value"]
@@ -225,6 +245,7 @@ def main(argv=None) -> int:
         out["claimed_gain"] = claimed_gain(w, m, workloads[w]["metrics"][m], len(args.seeds))
     out["manifest"] = {k: manifest[k] for k in ("python", "numpy", "blas", "blas_threads",
                                                 "nproc", "machine", "seconds")}
+    out["manifest"]["PYTHONDONTWRITEBYTECODE"] = os.environ.get("PYTHONDONTWRITEBYTECODE")
     out["workloads"] = workloads
     if args.traced:
         w, seeds = args.traced
@@ -246,6 +267,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     if "claimed_gain" in out:
         print(json.dumps(out["claimed_gain"]), file=sys.stderr)
+    for line in flagged(workloads, len(args.seeds)):
+        print(line, file=sys.stderr)
     return 0
 
 
